@@ -3,8 +3,8 @@
 Exact route (convex labels): bisection on the anchor radius r, where r is
 feasible iff some center c with ||x - c|| < r lies in the inner parallel
 body of the label shrunk by r. Unbounded growth is reported as ExceedsCap
-with a certified witness sequence of increasing radii, centers marching
-along the projection ray away from the nearest boundary.
+with a certified witness sequence of increasing radii, all nested in the
+ball found at the cap, with centers on the ray from x to its center.
 
 Sampled route (union / analytic labels): multi-start center search with
 per-candidate certification by uniform interior and near-surface samples;
@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import (EmptyPolytope, EmptyRegion, NoLabel, PointNotInAnyLabel,
-                     PointNotInRegion, RefinementPoint)
+from .errors import (EmptyPolytope, EmptyRegion, EvalError, NoLabel,
+                     PointNotInAnyLabel, PointNotInRegion, RefinementPoint)
 from .geometry import (Ball, Certificate, Halfspace, HPolytope, as_point,
                        ball_in_region, project_onto_polytope, sample_in_ball,
                        shrink_polytope)
@@ -37,7 +37,7 @@ def default_tol(C: Classifier) -> float:
     return TOL_DIAMETERS * C.diameter
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Anchor:
     """An open ball certified to contain `anchored_point` and to lie inside
     the region of `label`."""
@@ -53,7 +53,7 @@ class Anchor:
             raise ValueError("anchored point must lie strictly inside the ball")
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class CoverageResult:
     """Zero | Bounded(radius, witness) | ExceedsCap(cap, witness sequence)."""
 
@@ -115,21 +115,20 @@ def _as_polytope(region) -> HPolytope:
 
 
 def _feasible_center(x: np.ndarray, P: HPolytope, r: float, tol: float):
-    """Center of a radius-r ball containing x strictly and inscribed in P,
-    or None when no such ball exists (within the margin convention).
+    """(center, r) of a radius-r ball inscribed in P that contains x
+    strictly, else (None, bound): no radius above bound <= r is feasible.
 
-    The strict margin keeps boundary points of closed labels at zero
-    coverage: for x on the label boundary the projection distance equals r
-    exactly and never passes the test.
+    The distance must clear r by a float margin far below any tol. An
+    empty body's Farkas vector w proves it empty at every r' > b.w / sum(w).
     """
-    margin = 0.5 * tol
     try:
         z, d = project_onto_polytope(x, shrink_polytope(P, r), tol)
-    except EmptyPolytope:
-        return None
-    if d < r - margin:
-        return z
-    return None
+    except EmptyPolytope as exc:
+        w = exc.farkas
+        return None, (r if w is None else min(r, float(P.b @ w) / float(w.sum())))
+    if d < r - 1e-12 * (1.0 + r + float(np.linalg.norm(x))):
+        return z, r
+    return None, r
 
 
 def shrink_toward(x: np.ndarray, c: np.ndarray, r_small: float, r_big: float) -> np.ndarray:
@@ -138,61 +137,55 @@ def shrink_toward(x: np.ndarray, c: np.ndarray, r_small: float, r_big: float) ->
     return x + (r_small / r_big) * (c - x)
 
 
-def _exact_anchor(x, P, region, label, r, tol):
-    c = _feasible_center(x, P, r, tol)
-    if c is None:
-        return None
+def _anchor(x, c, r, region, label):
     return Anchor(Ball(c, r), x, label, ball_in_region(Ball(c, r), region, "exact"))
 
 
 def coverage_exact_convex(x, region, cap: float, tol: float,
                           label: str = "label") -> CoverageResult:
-    """Supremum anchor radius at x for a convex region, within tol, by
-    radius bisection over [0, cap]."""
+    """Supremum anchor radius at x for a convex region, within tol.
+
+    Zero exactly when x lies on a facet, up to rounding. Otherwise bisection
+    from x's distance to the nearest facet (the ball around x) up to the
+    cap, where an empty body lowers the upper end to its Farkas bound.
+    """
     x = as_point(x)
     if cap <= 0 or tol <= 0:
         raise ValueError("cap and tol must be positive")
     P = _as_polytope(region)
-    try:
-        project_onto_polytope(x, P, tol)
-    except EmptyPolytope:
-        raise EmptyRegion("region is empty")
     if not region.contains(x):
         # boundary points of closed regions are members; anything else is out
         if not P.closure_contains(x, atol=1e-12):
+            try:
+                project_onto_polytope(x, P, tol)
+            except EmptyPolytope:
+                raise EmptyRegion("region is empty")
             raise PointNotInRegion(f"query point {list(x)} is not in the region")
 
-    r_min = min(tol, cap / 2)
-    if _feasible_center(x, P, r_min, tol) is None:
-        return CoverageResult("zero", "exact", detail={"tol": tol})
+    slack = P.b - P.A @ x
+    if np.any(slack <= 1e-12 * (1.0 + np.abs(P.b) + float(np.linalg.norm(x)))):
+        return CoverageResult("zero", "exact")
 
     cap_probe = cap * (1 + 1e-9) + 4 * tol
-    if _feasible_center(x, P, cap_probe, tol) is not None:
-        radii = (cap / 4, cap / 2, cap * (1 + 1e-9) + 2 * tol)
-        witnesses = []
-        for r in radii:
-            a = _exact_anchor(x, P, region, label, r, tol)
-            if a is None:  # margin slop; nudge down but stay above the cap
-                a = _exact_anchor(x, P, region, label, r - tol, tol)
-            witnesses.append(a)
+    z, hi = _feasible_center(x, P, cap_probe, tol)
+    if z is not None:
+        # balls nested in B(z, cap_probe) that still hold x
+        witnesses = tuple(_anchor(x, shrink_toward(x, z, r, cap_probe), r, region, label)
+                          for r in (cap / 4, cap / 2, cap * (1 + 1e-9) + 2 * tol))
         return CoverageResult("exceeds_cap", "exact", cap=cap,
-                              witness=witnesses[-1], witnesses=tuple(witnesses),
-                              detail={"tol": tol})
+                              witness=witnesses[-1], witnesses=witnesses)
 
-    lo, hi = r_min, cap_probe
+    lo, center = float(np.min(slack)), x  # B(x, lo) lies in P
+    hi = max(lo, hi)
     while hi - lo > 0.5 * tol:
         mid = 0.5 * (lo + hi)
-        if _feasible_center(x, P, mid, tol) is not None:
-            lo = mid
+        z, bound = _feasible_center(x, P, mid, tol)
+        if z is not None:
+            lo, center = mid, z
         else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
-    rw = max(r_star - tol, 0.5 * r_star)
-    witness = _exact_anchor(x, P, region, label, rw, tol)
-    if witness is None:
-        witness = _exact_anchor(x, P, region, label, 0.5 * rw, tol)
-    return CoverageResult("bounded", "exact", radius=r_star, witness=witness,
-                          detail={"tol": tol})
+            hi = max(lo, bound)
+    return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi),
+                          witness=_anchor(x, center, lo, region, label))
 
 
 # --- sampled route ---------------------------------------------------------
@@ -233,7 +226,11 @@ class _SampledSearch:
         self.spent += 2 * self.m
         for surface in (True, False):
             pts = sample_in_ball(c, r, self.rng, self.m, surface=surface)
-            inside = self.region.contains_many(pts)
+            try:
+                inside = self.region.contains_many(pts)
+            except EvalError:  # some sample's label cannot be evaluated
+                self.last_violation = None
+                return False
             if not np.all(inside):
                 self.last_violation = pts[int(np.flatnonzero(~inside)[0])]
                 return False
@@ -364,6 +361,9 @@ class _SampledSearch:
                 self.note(c, r)
                 continue
             p1 = self.last_violation
+            if p1 is None:  # no violating sample to steer by: grow less
+                gamma *= 0.5
+                continue
             u1 = c - p1
             n1 = float(np.linalg.norm(u1))
             if n1 == 0.0:
@@ -375,9 +375,9 @@ class _SampledSearch:
                 self.note(c, r)
                 continue
             p2 = self.last_violation
-            u2 = c - p2
-            n2 = float(np.linalg.norm(u2))
+            n2 = 0.0 if p2 is None else float(np.linalg.norm(c - p2))
             if n2 > 0.0:
+                u2 = c - p2
                 bis = u1 / n1 + u2 / n2
                 nb = float(np.linalg.norm(bis))
                 if nb > 1e-9:

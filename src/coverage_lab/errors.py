@@ -10,7 +10,11 @@ class DimensionMismatch(CoverageLabError):
 
 
 class EmptyPolytope(CoverageLabError):
-    pass
+    """`farkas`, when set, proves it: w >= 0 with A^T w = 0 and b.w < 0."""
+
+    def __init__(self, message, farkas=None):
+        super().__init__(message)
+        self.farkas = farkas
 
 
 class ExactUnsupported(CoverageLabError):

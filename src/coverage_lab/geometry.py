@@ -15,13 +15,10 @@ are in raw feature units.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPolytope, ExactUnsupported
-
-DYKSTRA_MAX_CYCLES = 100_000
+from .errors import DimensionMismatch, EmptyPolytope, EvalError, ExactUnsupported
 
 
 def as_point(x) -> np.ndarray:
@@ -29,7 +26,7 @@ def as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatch(f"point must be a 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError(f"point has non-finite entries: {p}")
     return p
 
@@ -59,7 +56,7 @@ def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator,
     return center + (radius * (1.0 - 1e-12)) * u * d
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Ball:
     """Open ball B(center, radius)."""
 
@@ -117,13 +114,6 @@ class Halfspace:
         v = X @ self.a
         return v <= self.b if self.closed else v < self.b
 
-    def closure_contains(self, x, atol: float = 0.0) -> bool:
-        x = as_point(x)
-        return float(self.a @ x) <= self.b + atol
-
-    def shrink(self, r: float) -> "Halfspace":
-        return Halfspace(self.a, self.b - r * self.norm, self.closed)
-
     def boundary(self) -> "Hyperplane":
         return Hyperplane(self.a, self.b)
 
@@ -178,46 +168,58 @@ class Hyperplane:
         return np.abs(d) <= atol
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class HPolytope:
-    """Intersection of finitely many halfspaces; may be unbounded or empty."""
+    """Intersection of finitely many halfspaces; may be unbounded or empty.
 
-    halfspaces: tuple
+    Held as arrays computed once: unit normals ``A``, offsets ``b`` (so
+    ``b - A x`` are signed distances to the facets) and the ``closed`` mask.
+    Membership reads the rows as given, so that it agrees with the
+    halfspaces to the last bit.
+    """
 
-    def __post_init__(self):
-        hs = tuple(self.halfspaces)
+    def __init__(self, halfspaces):
+        hs = tuple(halfspaces)
         if not hs:
             raise ValueError("HPolytope needs at least one halfspace")
-        n = hs[0].dimension
-        for h in hs:
-            if h.dimension != n:
-                raise DimensionMismatch("inconsistent halfspace dimensions")
-        object.__setattr__(self, "halfspaces", hs)
+        if len({h.dimension for h in hs}) != 1:
+            raise DimensionMismatch("inconsistent halfspace dimensions")
+        rows, offsets = np.array([h.a for h in hs]), np.array([h.b for h in hs])
+        norms = np.linalg.norm(rows, axis=1)
+        self._set(rows / norms[:, None], offsets / norms,
+                  np.array([h.closed for h in hs]), rows, offsets)
+        self._halfspaces = hs
+
+    def _set(self, A, b, closed, rows, offsets):
+        self.A, self.b, self.closed, self._rows = A, b, closed, rows
+        # a.x <= b exactly when a.x < the next float above b
+        self._strict = np.where(closed, np.nextafter(offsets, np.inf), offsets)
+        self._halfspaces = None
+
+    @property
+    def halfspaces(self) -> tuple:
+        if self._halfspaces is None:
+            self._halfspaces = tuple(Halfspace(a, b, bool(k))
+                                     for a, b, k in zip(self.A, self.b, self.closed))
+        return self._halfspaces
 
     @property
     def dimension(self) -> int:
-        return self.halfspaces[0].dimension
+        return self.A.shape[1]
 
     def contains(self, x) -> bool:
         x = as_point(x)
-        _check_dim(x, self.halfspaces[0].a)
-        return all(h.contains(x) for h in self.halfspaces)
+        _check_dim(x, self.A[0])
+        return bool((self._rows @ x < self._strict).all())
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
-        out = np.ones(X.shape[0], dtype=bool)
-        for h in self.halfspaces:
-            out &= h.contains_many(X)
-        return out
+        return (self._rows @ X.T < self._strict[:, None]).all(axis=0)
 
     def closure_contains(self, x, atol: float = 0.0) -> bool:
-        x = as_point(x)
-        return all(h.closure_contains(x, atol=atol * h.norm) for h in self.halfspaces)
+        return bool((self.A @ as_point(x) <= self.b + atol).all())
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest normalized constraint violation of the closure at x."""
-        return max(
-            max(0.0, (float(h.a @ x) - h.b) / h.norm) for h in self.halfspaces
-        )
+        return max(0.0, float(np.max(self.A @ x - self.b)))
 
 
 def shrink_polytope(P: HPolytope, r: float) -> HPolytope:
@@ -228,104 +230,100 @@ def shrink_polytope(P: HPolytope, r: float) -> HPolytope:
     """
     if r < 0:
         raise ValueError(f"shrink radius must be nonnegative, got {r}")
-    return HPolytope(tuple(h.shrink(r) for h in P.halfspaces))
+    Q = object.__new__(HPolytope)
+    Q._set(P.A, P.b - r, P.closed, P.A, P.b - r)
+    return Q
 
 
-def _antiparallel_infeasible(P: HPolytope, slack: float = 0.0) -> bool:
-    """Cheap sound infeasibility check: anti-parallel constraints whose
-    normalized offsets leave a negative gap."""
-    hs = P.halfspaces
-    units = [h.a / h.norm for h in hs]
-    offs = [h.b / h.norm for h in hs]
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            if float(units[i] @ units[j]) < -1.0 + 1e-12:
-                if offs[i] + offs[j] < -slack:
-                    return True
-    return False
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """argmin ||E w - f|| over w >= 0, by the Lawson-Hanson active-set
+    method (Solving Least Squares Problems, 1974, ch. 23)."""
+    m = E.shape[1]
+    w = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    tiny = 1e-12 * (1.0 + float(np.abs(E).max()))
+    for _ in range(3 * m + 3):
+        gain = E.T @ (f - E @ w)
+        gain[passive] = -np.inf
+        j = int(gain.argmax())
+        if gain[j] <= tiny:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(m)
+            cols = E[:, passive]
+            if cols.shape[1] == 1:
+                z[passive] = (cols[:, 0] @ f) / (cols[:, 0] @ cols[:, 0])
+            else:
+                z[passive] = np.linalg.lstsq(cols, f, rcond=None)[0]
+            if (z[passive] > 0.0).all():
+                w = z
+                break
+            if passive[j] and w[j] == 0.0 and z[j] <= 0.0:  # j gains nothing: rounding
+                return w
+            # step back to the first passive entry that reaches zero
+            down = np.flatnonzero(passive & (z <= 0.0))
+            ratios = w[down] / (w[down] - z[down])
+            k = int(np.argmin(ratios))
+            w = w + ratios[k] * (z - w)
+            w[down[k]] = 0.0
+            passive &= w > 0.0
+            w[~passive] = 0.0
+    return w
 
 
-def _project_active_set(x: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Exact projection onto {c : A c <= b} (rows of A unit-normalized) by
-    KKT enumeration over constraint subsets of size <= n.
+def least_distance(A: np.ndarray, h: np.ndarray):
+    """Shortest u with A u <= h (rows of A unit) as ``(u, None)``, or
+    ``(None, w)`` with a Farkas vector w >= 0, A^T w = 0, h.w < 0 proving
+    the set empty; ``(None, None)`` when neither answer checks out.
 
-    Returns the projection, or None when no subset satisfies the KKT
-    conditions — which, up to numerical tolerance, means the set is empty.
+    Its dual is an NNLS problem on ``[-A^T; -h^T / s]``, s = max|h| so
+    that a far set's residual is not lost to rounding: a zero residual is
+    the Farkas vector, a nonzero one gives the point.
     """
-    import itertools
-
-    m, n = A.shape
-    scale = 1.0 + float(np.linalg.norm(x)) + float(np.max(np.abs(b)))
-    eps = 1e-9 * scale
-    if np.all(A @ x <= b + eps):
-        return x
-    for k in range(1, min(m, n) + 1):
-        for S in itertools.combinations(range(m), k):
-            A_S = A[list(S)]
-            rhs = A_S @ x - b[list(S)]
-            gram = A_S @ A_S.T
-            try:
-                lam = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam < -eps):
-                continue
-            c = x - A_S.T @ lam
-            if np.all(A @ c <= b + eps):
-                return c
-    return None
+    n = A.shape[1]
+    if np.all(h >= 0.0):
+        return np.zeros(n), None
+    s = float(np.max(np.abs(h)))
+    E = np.vstack([-A.T, -h[None, :] / s])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    w = _nnls(E, f)
+    if h @ w < -0.5 * s and np.linalg.norm(A.T @ w) <= 1e-12 * (1.0 + w.sum()):
+        return None, w
+    res = E @ w - f
+    if res[n] != 0.0:
+        u = (-s / res[n]) * res[:n]
+        if np.all(A @ u <= h + 1e-9 * (s + float(np.linalg.norm(u)))):
+            return u, None
+    return None, None
 
 
 def project_onto_polytope(x, P: HPolytope, tol: float):
-    """Nearest point of closure(P) to x and its distance.
-
-    Small systems (subset count manageable) are solved exactly by active-set
-    KKT enumeration; larger ones fall back to Dykstra's cyclic alternating
-    projections. Raises EmptyPolytope when the constraint set is empty.
+    """Nearest point of closure(P) to x and its distance, exact up to
+    rounding (tol is only checked). Raises EmptyPolytope, with its Farkas
+    vector, when the set is empty, and without one when the system is too
+    degenerate for either answer to check out.
     """
     x = as_point(x)
-    _check_dim(x, P.halfspaces[0].a)
+    _check_dim(x, P.A[0])
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if _antiparallel_infeasible(P):
-        raise EmptyPolytope("anti-parallel constraints with negative gap")
-    hs = P.halfspaces
-    if len(hs) == 1:
-        z = hs[0].project(x)
-        return z, float(np.linalg.norm(x - z))
-
-    m, n = len(hs), x.shape[0]
-    if math.comb(m, min(m, n)) * min(m, n) <= 50_000:
-        A = np.array([h.a / h.norm for h in hs])
-        b = np.array([h.b / h.norm for h in hs])
-        z = _project_active_set(x, A, b)
-        if z is None:
-            raise EmptyPolytope("no KKT point found; constraint set is empty")
-        return z, float(np.linalg.norm(x - z))
-
-    z = x.copy()
-    corrections = [np.zeros_like(x) for _ in hs]
-    eps = tol * 1e-2
-    for _ in range(DYKSTRA_MAX_CYCLES):
-        z_prev = z
-        for i, h in enumerate(hs):
-            y = z + corrections[i]
-            z = h.project(y)
-            corrections[i] = y - z
-        if np.linalg.norm(z - z_prev) <= eps and P.max_violation(z) <= eps:
-            return z, float(np.linalg.norm(x - z))
-    if P.max_violation(z) > tol:
-        raise EmptyPolytope("projection residual stalled above tol; set is empty "
-                            "or numerically degenerate")
-    return z, float(np.linalg.norm(x - z))
+    u, w = least_distance(P.A, P.b - P.A @ x)
+    if u is None:
+        raise EmptyPolytope("constraint set is empty" if w is not None else
+                            "no verified point or Farkas vector; degenerate set",
+                            farkas=w)
+    return x + u, float(np.linalg.norm(u))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Certificate:
     """Outcome of a containment check.
 
     kind is one of 'proven', 'refuted', 'unfalsified'. A refutation carries
-    a witness point; an unfalsified sampled check records (samples, seed).
+    a witness point, or none when a sample's label could not be evaluated;
+    an unfalsified sampled check records (samples, seed).
     """
 
     kind: str
@@ -336,6 +334,9 @@ class Certificate:
     @property
     def ok(self) -> bool:
         return self.kind in ("proven", "unfalsified")
+
+
+PROVEN = Certificate("proven")
 
 
 def _exact_ball_slack(h: Halfspace, B: Ball) -> float:
@@ -353,7 +354,8 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     method='exact' supports Halfspace and HPolytope only and returns
     proven/refuted. method=('sampled', m, seed) draws m uniform interior
     points (half of them just inside the surface) and refutes on the first
-    point outside the region, else returns unfalsified.
+    point outside the region, or when some point's label cannot be
+    evaluated; else it returns unfalsified.
     """
     if method == "exact":
         if isinstance(region, Halfspace):
@@ -368,7 +370,7 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
                 # witness just inside the ball, in the violated direction
                 w = B.center + (B.radius * (1.0 - 1e-9) / h.norm) * h.a
                 return Certificate("refuted", witness=w)
-        return Certificate("proven")
+        return PROVEN
 
     kind, m, seed = method
     if kind != "sampled":
@@ -379,7 +381,10 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     for pts in (B.sample(rng, m_int), B.sample(rng, m_surf, surface=True)):
         if pts.shape[0] == 0:
             continue
-        inside = region.contains_many(pts)
+        try:
+            inside = region.contains_many(pts)
+        except EvalError:  # some sample's label cannot be evaluated
+            return Certificate("refuted", samples=m, seed=seed)
         if not np.all(inside):
             idx = int(np.flatnonzero(~inside)[0])
             return Certificate("refuted", witness=pts[idx], samples=m, seed=seed)

@@ -15,10 +15,7 @@ from .geometry import Halfspace, HPolytope, as_point
 def inscribed_radius_polytope(P: HPolytope, centers: np.ndarray) -> np.ndarray:
     """Radius of the largest ball centered at each row of `centers` that fits
     inside P: min_i (b_i - a_i.c) / ||a_i||. Negative outside the closure."""
-    vals = np.full(centers.shape[0], np.inf)
-    for h in P.halfspaces:
-        vals = np.minimum(vals, (h.b - centers @ h.a) / h.norm)
-    return vals
+    return np.min(P.b - centers @ P.A.T, axis=1)
 
 
 def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:

@@ -75,17 +75,22 @@ def _hyperplane_piece(a: np.ndarray, b: float, extra=()) -> HPolytope:
     return HPolytope(eq + tuple(Halfspace(h.a, h.b, True) for h in extra))
 
 
+def _forced_hyperplane(p: HPolytope, atol: float = 1e-9):
+    """The hyperplane {a.x = b} that an anti-parallel constraint pair with
+    zero gap forces on p (the pair's first constraint), or None."""
+    gap = np.abs(p.b[:, None] + p.b[None, :]) <= atol
+    pairs = np.argwhere(np.triu((p.A @ p.A.T < -1.0 + 1e-12) & gap, k=1))
+    if not pairs.size:
+        return None
+    h = p.halfspaces[pairs[0, 0]]
+    return Hyperplane(h.a, h.b)
+
+
 def _piece_signature(p: HPolytope):
     """Canonical signature of a hyperplane-shaped piece (no side constraints),
     or None if the piece is not a bare hyperplane."""
-    if len(p.halfspaces) != 2:
-        return None
-    h1, h2 = p.halfspaces
-    u1, o1 = h1.a / h1.norm, h1.b / h1.norm
-    u2, o2 = h2.a / h2.norm, h2.b / h2.norm
-    if float(u1 @ u2) > -1.0 + 1e-12 or abs(o1 + o2) > 1e-9:
-        return None
-    return Hyperplane(h1.a, h1.b).unit()
+    forced = _forced_hyperplane(p) if len(p.b) == 2 else None
+    return None if forced is None else forced.unit()
 
 
 def _strictify_expr(e):
@@ -450,19 +455,6 @@ def classify_structure(C: Classifier, probe_count: int = 30,
 
 # --- negligibility and generalized binary linear ---------------------------
 
-def _polytope_forced_hyperplane(p: HPolytope, atol: float = 1e-9):
-    """Hyperplane forced by an anti-parallel zero-gap constraint pair, or
-    None when the piece is full-dimensional (as far as pair checks see)."""
-    hs = p.halfspaces
-    for i in range(len(hs)):
-        ui, oi = hs[i].a / hs[i].norm, hs[i].b / hs[i].norm
-        for j in range(i + 1, len(hs)):
-            uj, oj = hs[j].a / hs[j].norm, hs[j].b / hs[j].norm
-            if float(ui @ uj) < -1.0 + 1e-12 and abs(oi + oj) <= atol:
-                return Hyperplane(hs[i].a, hs[i].b)
-    return None
-
-
 def is_negligible_region(region) -> bool:
     """True iff every polytope piece has affine dimension < n, detected
     structurally via forced-equality constraint pairs."""
@@ -471,9 +463,9 @@ def is_negligible_region(region) -> bool:
     if isinstance(region, Halfspace):
         return False
     if isinstance(region, HPolytope):
-        return _polytope_forced_hyperplane(region) is not None
+        return _forced_hyperplane(region) is not None
     if isinstance(region, UnionOfPolytopes):
-        return all(_polytope_forced_hyperplane(p) is not None
+        return all(_forced_hyperplane(p) is not None
                    for p in region.polytopes)
     raise UnsupportedRegion(
         f"negligibility undecidable for {type(region).__name__}")
@@ -582,7 +574,7 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
         pieces = (region.polytopes if isinstance(region, UnionOfPolytopes)
                   else (region,))
         for piece in pieces:
-            forced = _polytope_forced_hyperplane(piece)
+            forced = _forced_hyperplane(piece)
             if forced is None or not _same_hyperplane(forced, main, C.diameter,
                                                       angle_tol=1e-6):
                 return GeneralizedLinearVerdict(

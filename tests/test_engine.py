@@ -4,6 +4,7 @@ result ordering, and anchor certification."""
 import numpy as np
 import pytest
 
+from coverage_lab import engine
 from coverage_lab.data import load_builtin
 from coverage_lab.engine import (Anchor, CoverageResult, certify_anchor,
                                  compare_results, coverage_at,
@@ -11,6 +12,7 @@ from coverage_lab.engine import (Anchor, CoverageResult, certify_anchor,
                                  shrink_toward)
 from coverage_lab.errors import (EmptyRegion, PointNotInAnyLabel,
                                  PointNotInRegion, RefinementPoint)
+from coverage_lab.field import compute_field
 from coverage_lab.geometry import Ball, Halfspace, HPolytope, ball_in_region
 from coverage_lab.model import Classifier, analytic
 
@@ -132,6 +134,65 @@ def test_bad_cap_or_tol():
         coverage_exact_convex([0.5, 0.5], unit_box(), cap=1.0, tol=0.0)
 
 
+def test_point_just_inside_a_facet_is_not_zero():
+    # zero is reserved for points on a facet; 1e-9 inside, the ball around
+    # the point itself already holds
+    res = coverage_exact_convex([0.5, 1e-9], unit_box(), cap=100.0, tol=1e-6)
+    assert res.kind == "bounded" and abs(res.radius - 0.5) < 1e-6
+    assert coverage_exact_convex([0.5, 0.0], unit_box(), cap=100.0,
+                                 tol=1e-6).kind == "zero"
+
+
+def test_radius_within_tol_where_distance_runs_flat():
+    # fig3's box [-7, 20] x [1, 20] at the grid point (20/19, 20/19): the best
+    # ball is tangent to the left and bottom facets with x on its boundary,
+    # where dist(x, P_r) - r has a shallow slope; a bisection margin of
+    # tol/2 left this answer 5 tol short
+    P = HPolytope((Halfspace([-1.0, 0.0], 7.0), Halfspace([1.0, 0.0], 20.0),
+                   Halfspace([0.0, -1.0], -1.0, False), Halfspace([0.0, 1.0], 20.0)))
+    x = np.array([20.0 / 19.0, 20.0 / 19.0])
+    # center (r - 7, r + 1) within r of x while r^2 - 2 p r + q < 0
+    p, q = x[0] + 7.0 + x[1] - 1.0, (x[0] + 7.0) ** 2 + (x[1] - 1.0) ** 2
+    exact = p + np.sqrt(p * p - q)  # the larger root; below 19/2
+    tol = 1e-6 * np.sqrt(2.0) * 40.0
+    res = coverage_exact_convex(x, P, cap=1e6, tol=tol)
+    assert abs(res.radius - exact) <= tol
+    assert res.witness.certificate.kind == "proven"
+
+
+def test_farkas_bound_lands_on_the_inradius(monkeypatch):
+    # at a box's center the cap probe's empty body proves every radius above
+    # the inradius infeasible, and the ball around the point reaches it
+    calls = []
+    project = engine.project_onto_polytope
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(engine, "project_onto_polytope", counted)
+    res = coverage_exact_convex([0.5, 0.5], unit_box(), cap=100.0, tol=1e-9)
+    assert res.kind == "bounded" and res.radius == 0.5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale, wrap", [(1.0, False), (2.7, False), (0.4, True)])
+def test_halfspace_pair_exceeds_default_cap(scale, wrap):
+    # probes at r ~ cap = 5.7e7 must see depths of order 1 through rounding
+    a = scale * np.array([0.6, -0.8])
+    lo, hi = Halfspace(a, 3.0 * scale, False), Halfspace(-a, -3.0 * scale, True)
+    if wrap:
+        lo, hi = HPolytope((lo,)), HPolytope((hi,))
+    C = Classifier(dimension=2, labels={"P": lo, "Q": hi})
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-20.0, 20.0, (10, 2)):
+        if abs(float(a @ x) / scale - 3.0) < 1e-3:
+            continue
+        res = coverage_at(C, x)
+        assert res.kind == "exceeds_cap" and res.method == "exact"
+        assert all(w.certificate.kind == "proven" for w in res.witnesses)
+
+
 def test_shrink_toward_keeps_point_and_nesting():
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -177,6 +238,17 @@ def test_fig3_refinement_free_queries_have_witnesses():
 
 
 # --- sampled route ----------------------------------------------------------
+
+def test_unevaluable_samples_do_not_escape_the_query():
+    # exp overflows far out along x1: certifications that sample there
+    # fail instead of raising, and the query and the field still answer
+    C = Classifier(dimension=2, labels={"P": analytic("exp(x1) > 1", 2),
+                                        "N": analytic("exp(x1) <= 1", 2)})
+    res = coverage_at(C, [3.0, 0.0], budget=100_000)
+    assert res.kind in ("bounded", "exceeds_cap") and res.method == "lower_bound"
+    F = compute_field(C, np.array([[3.0, 0.0], [-3.0, 1.0]]), budget=100_000)
+    assert len(F.results) == 2 and not F.skipped
+
 
 def test_sampled_budget_zero_is_lower_bound_zero():
     C = load_builtin("fig1.json")

@@ -1,5 +1,11 @@
 """Unit tests for the geometric primitives."""
 
+import itertools
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,3 +239,122 @@ def test_projection_distance_is_minimal_among_samples():
         if feas.any():
             closest = np.min(np.linalg.norm(pts[feas] - x, axis=1))
             assert d <= closest + 1e-6
+
+
+# --- least-distance solver ----------------------------------------------------
+
+def _kkt_projection_distance(A: np.ndarray, h: np.ndarray):
+    """Brute-force reference for min ||u|| subject to A u <= h (rows of A
+    unit): every constraint subset S of size <= n whose KKT multipliers
+    lam = -(A_S A_S^T)^-1 h_S are nonnegative and whose point u = -A_S^T lam
+    is feasible. Returns the least such ||u||, or None when no subset
+    qualifies, which for generic A means the set is empty."""
+    m, n = A.shape
+    eps = 1e-9 * (1.0 + float(np.max(np.abs(h))))
+    if np.all(h >= 0.0):
+        return 0.0
+    best = None
+    for k in range(1, min(m, n) + 1):
+        S = np.array(list(itertools.combinations(range(m), k)))
+        A_S = A[S]                                   # (subsets, k, n)
+        gram = A_S @ A_S.transpose(0, 2, 1)
+        lam = np.linalg.solve(gram, -h[S][..., None])[..., 0]
+        u = -(A_S.transpose(0, 2, 1) @ lam[..., None])[..., 0]
+        ok = np.all(lam >= -eps, axis=1) & np.all(u @ A.T <= h + eps, axis=1)
+        if ok.any():
+            d = float(np.min(np.linalg.norm(u[ok], axis=1)))
+            best = d if best is None else min(best, d)
+    return best
+
+
+def _check_farkas(P: HPolytope, x: np.ndarray, w: np.ndarray) -> None:
+    """w >= 0 with sum_i w_i a_i = 0 and (b - A x).w < 0 proves P empty."""
+    assert w is not None and np.all(w >= 0.0)
+    assert np.linalg.norm(P.A.T @ w) <= 1e-9 * w.sum()
+    assert float((P.b - P.A @ x) @ w) < 0.0
+
+
+def test_least_distance_matches_brute_force_on_random_systems():
+    rng = np.random.default_rng(20191019)
+    verdicts = {"empty": 0, "point": 0}
+    for _ in range(320):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n + 1, 3 * n + 1))
+        # normals of assorted lengths: the polytope normalises them
+        normals = rng.standard_normal((m, n)) * rng.uniform(0.2, 5.0, (m, 1))
+        offsets = rng.uniform(-1.0, 1.0, m) * float(rng.choice([1e-3, 1.0, 1e3]))
+        P = HPolytope(tuple(Halfspace(a, b) for a, b in zip(normals, offsets)))
+        x = rng.standard_normal(n)
+        reference = _kkt_projection_distance(P.A, P.b - P.A @ x)
+        try:
+            z, d = project_onto_polytope(x, P, 1e-9)
+        except EmptyPolytope as exc:
+            verdicts["empty"] += 1
+            assert reference is None
+            _check_farkas(P, x, exc.farkas)
+            continue
+        verdicts["point"] += 1
+        assert reference is not None
+        # relative beyond 1: a set far away behind nearly parallel facets is
+        # ill-conditioned for both methods (one case here lies at 6.2e5)
+        assert abs(d - reference) <= 1e-7 * max(1.0, reference)
+        assert abs(d - float(np.linalg.norm(z - x))) <= 1e-12 * (1.0 + d)
+        assert P.max_violation(z) <= 1e-9 * (1.0 + float(np.max(np.abs(P.b))))
+    # both verdicts are exercised
+    assert min(verdicts.values()) >= 50
+
+
+def _simplex_with_cuts(rng, n: int, m: int, inradius: float) -> HPolytope:
+    """A regular simplex with the given inradius around the origin, cut by
+    m - n - 1 random halfspaces that keep its inscribed ball inside."""
+    centered = np.eye(n + 1) - 1.0 / (n + 1)
+    basis = np.linalg.svd(centered)[0][:, :n]        # orthonormal, sum-free
+    normals = np.vstack([centered @ basis, rng.standard_normal((m - n - 1, n))])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = inradius + np.concatenate([np.zeros(n + 1),
+                                         rng.uniform(0.5, 10.0, m - n - 1)])
+    return HPolytope(tuple(Halfspace(a, b) for a, b in zip(normals, offsets)))
+
+
+@pytest.mark.parametrize("n, m", [(6, 20), (10, 60)])
+def test_empty_check_in_high_dimension_is_fast_and_proved(n, m):
+    rng = np.random.default_rng(n)
+    P = _simplex_with_cuts(rng, n, m, inradius=3.0)
+    x = rng.uniform(-1.0, 1.0, n)
+    empty = shrink_polytope(P, 3.0 * (1 + 1e-6))
+    t0 = time.perf_counter()
+    with pytest.raises(EmptyPolytope) as info:
+        project_onto_polytope(x, empty, 1e-9)
+    assert time.perf_counter() - t0 < 0.1
+    _check_farkas(empty, x, info.value.farkas)
+    # just inside the inradius the body is the near-point around the origin
+    z, d = project_onto_polytope(x, shrink_polytope(P, 3.0 * (1 - 1e-6)), 1e-9)
+    assert np.linalg.norm(z) < 1e-4
+    assert abs(d - np.linalg.norm(x)) < 1e-4
+
+
+def test_shrink_polytope_moves_offsets_only():
+    P = HPolytope((Halfspace([3.0, 4.0], 10.0, False), Halfspace([-1.0, 0.0], 2.0)))
+    Q = shrink_polytope(P, 0.5)
+    assert isinstance(Q, HPolytope)
+    assert Q.A is P.A and np.array_equal(Q.closed, P.closed)
+    assert np.allclose(Q.b, P.b - 0.5)
+    assert np.allclose(P.A, [[0.6, 0.8], [-1.0, 0.0]]) and np.allclose(P.b, [2.0, 2.0])
+    # the shrunk body still reports its constraints, unit-normalised
+    assert np.allclose([h.a for h in Q.halfspaces], P.A)
+    assert [h.b for h in Q.halfspaces] == pytest.approx([1.5, 1.5])
+    assert not Q.halfspaces[0].closed and Q.halfspaces[1].closed
+
+
+def test_import_and_query_do_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import coverage_lab as lab\n"
+            "C = lab.load_builtin('fig3.json')\n"
+            "print(lab.coverage_at(C, [5.0, 0.0], budget=0).describe())\n"
+            "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[0].startswith("Bounded(radius=1)")
+    assert out[1] == "False"
