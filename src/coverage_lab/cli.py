@@ -19,7 +19,7 @@ from .errors import (AmbiguousLabel, CoverageLabError, IoError, NoLabel,
                      PointNotInAnyLabel, RefinementPoint, SchemaError,
                      SpecParseError)
 from .field import compare_at, compute_field, export_field
-from .model import Classifier, load_spec, save_spec
+from .model import load_spec, save_spec
 from .structure import classify_structure, refine_boundary
 from . import verify as verify_mod
 
@@ -82,12 +82,8 @@ def _result_lines(res: CoverageResult) -> list:
     return lines
 
 
-def _load(path: str) -> Classifier:
-    return load_spec(path)
-
-
 def cmd_coverage(args) -> int:
-    C = _load(args.classifier)
+    C = load_spec(args.classifier)
     point = parse_point(args.point, C.dimension)
     res = coverage_at(C, point, cap=args.cap, budget=args.budget,
                       seed=args.seed, tol=args.tol)
@@ -98,7 +94,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_field(args) -> int:
-    C = _load(args.classifier)
+    C = load_spec(args.classifier)
     if args.grid:
         points = parse_grid(args.grid)
     elif args.points_file:
@@ -119,7 +115,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    C = _load(args.classifier)
+    C = load_spec(args.classifier)
     v = classify_structure(C, cap=args.cap, budget=args.budget,
                            seed=args.seed, tol=args.tol)
     report = v.to_dict()
@@ -141,7 +137,7 @@ def cmd_structure(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    C = _load(args.classifier)
+    C = load_spec(args.classifier)
     refined = refine_boundary(C)
     print(f"labels: {','.join(refined.labels)}")
     print(f"refined: {str(not refined.ordinary).lower()}")
@@ -152,8 +148,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    C1 = _load(args.classifier)
-    C2 = _load(args.other)
+    C1 = load_spec(args.classifier)
+    C2 = load_spec(args.other)
     if args.point:
         points = parse_point(args.point, C1.dimension)[None, :]
     elif args.points_file:

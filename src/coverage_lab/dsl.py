@@ -441,7 +441,3 @@ class Predicate:
     @property
     def source(self) -> str:
         return unparse(self.expr)
-
-
-def evaluate(p: Predicate, x) -> bool:
-    return p.evaluate(x)

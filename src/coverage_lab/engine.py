@@ -150,8 +150,8 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     cap, where an empty body lowers the upper end to its Farkas bound.
     """
     x = as_point(x)
-    if cap <= 0 or tol <= 0:
-        raise ValueError("cap and tol must be positive")
+    if not 0 < tol < cap:
+        raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
     P = _as_polytope(region)
     if not region.contains(x):
         # boundary points of closed regions are members; anything else is out
@@ -198,16 +198,14 @@ class _SampledSearch:
     near-tangent balls that interior sampling almost never hits.
     """
 
-    def __init__(self, region, x, label, cap, budget, seed, tol, scale, delta):
+    def __init__(self, region, x, label, cap, budget, seed, tol, scale):
         self.region = region
         self.x = x
         self.label = label
         self.cap = cap
         self.budget = budget
-        self.seed = seed
         self.tol = tol
         self.scale = scale
-        self.delta = delta
         self.rng = np.random.default_rng(seed)
         self.m = int(min(2000, max(200, budget // 200)))
         self.spent = 0
@@ -395,6 +393,17 @@ class _SampledSearch:
         return Anchor(Ball(c, r), self.x, self.label, cert)
 
 
+def resolve_limits(C: Classifier, cap: float | None,
+                   tol: float | None) -> tuple[float, float]:
+    """The (cap, tol) of a query on C, defaults filled in. ValueError unless
+    0 < tol < cap."""
+    cap = default_cap(C) if cap is None else float(cap)
+    tol = default_tol(C) if tol is None else float(tol)
+    if not 0 < tol < cap:
+        raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
+    return cap, tol
+
+
 def _resolve_query(C: Classifier, x):
     x = as_point(x)
     try:
@@ -407,29 +416,24 @@ def _resolve_query(C: Classifier, x):
     return x, name
 
 
-def coverage_sampled(C: Classifier, x, cap: float | None = None,
-                     budget: int = 100_000, seed: int = 0,
-                     delta: float = 0.01,
-                     tol: float | None = None) -> CoverageResult:
-    """Sampled lower-bound coverage at x, for any label kind."""
-    x, name = _resolve_query(C, x)
-    cap = default_cap(C) if cap is None else float(cap)
-    tol = default_tol(C) if tol is None else float(tol)
-    region = C.labels[name]
-    if budget <= 0:
-        return CoverageResult("zero", "lower_bound",
-                              detail={"note": "no certification attempted", "budget": 0})
-    search = _SampledSearch(region, x, name, cap, budget, seed, tol, C.diameter, delta)
+def _sampled_result(search: _SampledSearch, seed: int,
+                    floor: CoverageResult | None = None) -> CoverageResult:
+    """Run the search and build its lower-bound result. A union's exact
+    per-component `floor` stands unless the search beats it."""
     outcome = search.run()
-    detail = {"m": search.m, "delta": delta, "seed": seed, "samples_spent": search.spent}
+    detail = {"m": search.m, "seed": seed, "samples_spent": search.spent}
+    if floor is not None:
+        detail["component_floor"] = floor.radius if floor.kind == "bounded" else None
     if outcome[0] == "exceeds":
         _, d, alpha = outcome
-        witnesses = _sampled_cap_witnesses(search, d, alpha, cap)
+        witnesses = _sampled_cap_witnesses(search, d, alpha)
         if witnesses is not None:
-            return CoverageResult("exceeds_cap", "lower_bound", cap=cap,
+            return CoverageResult("exceeds_cap", "lower_bound", cap=search.cap,
                                   witness=witnesses[-1], witnesses=witnesses,
                                   detail=detail)
         # growth reached the cap but re-certification failed; fall through
+    if floor is not None and floor.kind == "bounded" and floor.radius >= search.best_r:
+        return dataclasses.replace(floor, method="lower_bound", detail=detail)
     if search.best_r <= 0:
         return CoverageResult("zero", "lower_bound", detail=detail)
     witness = search.witness_at(search.best_c, search.best_r)
@@ -437,12 +441,26 @@ def coverage_sampled(C: Classifier, x, cap: float | None = None,
                           witness=witness, detail=detail)
 
 
-def _sampled_cap_witnesses(search: _SampledSearch, d, alpha, cap):
+def coverage_sampled(C: Classifier, x, cap: float | None = None,
+                     budget: int = 100_000, seed: int = 0,
+                     tol: float | None = None) -> CoverageResult:
+    """Sampled lower-bound coverage at x, for any label kind."""
+    cap, tol = resolve_limits(C, cap, tol)
+    x, name = _resolve_query(C, x)
+    if budget <= 0:
+        return CoverageResult("zero", "lower_bound",
+                              detail={"note": "no certification attempted", "budget": 0})
+    search = _SampledSearch(C.labels[name], x, name, cap, budget, seed, tol, C.diameter)
+    return _sampled_result(search, seed)
+
+
+def _sampled_cap_witnesses(search: _SampledSearch, d, alpha):
     """Increasing witness sequence at radii ~cap/4, cap/2, cap along the
     growth direction."""
     if d is None:  # cap reached with the query point itself as center
         d = search.directions(1)[0]
         alpha = max(search.best_r / 2, 4 * search.tol)
+    cap = search.cap
     witnesses = []
     for r in (cap / 4, cap / 2, cap * (1 + 1e-9)):
         t = r - alpha
@@ -453,19 +471,14 @@ def _sampled_cap_witnesses(search: _SampledSearch, d, alpha, cap):
     return tuple(witnesses)
 
 
-def _union_components_at(x, region: UnionOfPolytopes):
-    return [p for p in region.polytopes if p.closure_contains(x, atol=1e-9)]
-
-
 def coverage_at(C: Classifier, x, cap: float | None = None,
                 budget: int = 100_000, seed: int = 0,
                 tol: float | None = None) -> CoverageResult:
     """Coverage of C at x: exact for convex labels, certified lower bound
     for unions (per-component exact floor plus straddle search) and
     analytic labels (fully sampled)."""
+    cap, tol = resolve_limits(C, cap, tol)
     x, name = _resolve_query(C, x)
-    cap = default_cap(C) if cap is None else float(cap)
-    tol = default_tol(C) if tol is None else float(tol)
     region = C.labels[name]
 
     if isinstance(region, (Halfspace, HPolytope)):
@@ -473,40 +486,20 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
 
     if isinstance(region, UnionOfPolytopes):
         floor = CoverageResult("zero", "exact")
-        for comp in _union_components_at(x, region):
+        for comp in region.polytopes:
+            if not comp.closure_contains(x, atol=1e-9):
+                continue
             try:
                 res = coverage_exact_convex(x, comp, cap, tol, label=name)
             except (PointNotInRegion, EmptyRegion):
                 continue
             if res.order_key() > floor.order_key():
                 floor = res
-        if floor.kind == "exceeds_cap":
-            return dataclasses.replace(floor, method="lower_bound")
-        if budget <= 0:
-            if floor.kind == "zero":
-                return CoverageResult("zero", "lower_bound")
+        if floor.kind == "exceeds_cap" or budget <= 0:
             return dataclasses.replace(floor, method="lower_bound")
         # try to beat the per-component floor with straddling balls
-        search = _SampledSearch(region, x, name, cap, budget, seed, tol,
-                                C.diameter, 0.01)
-        outcome = search.run()
-        detail = {"m": search.m, "seed": seed, "samples_spent": search.spent,
-                  "component_floor": floor.radius if floor.kind == "bounded" else None}
-        if outcome[0] == "exceeds":
-            _, d, alpha = outcome
-            witnesses = _sampled_cap_witnesses(search, d, alpha, cap)
-            if witnesses is not None:
-                return CoverageResult("exceeds_cap", "lower_bound", cap=cap,
-                                      witness=witnesses[-1], witnesses=witnesses,
-                                      detail=detail)
-        best_r = search.best_r
-        if floor.kind == "bounded" and floor.radius >= best_r:
-            return dataclasses.replace(floor, method="lower_bound", detail=detail)
-        if best_r <= 0:
-            return CoverageResult("zero", "lower_bound", detail=detail)
-        witness = search.witness_at(search.best_c, best_r)
-        return CoverageResult("bounded", "lower_bound", radius=best_r,
-                              witness=witness, detail=detail)
+        search = _SampledSearch(region, x, name, cap, budget, seed, tol, C.diameter)
+        return _sampled_result(search, seed, floor)
 
     if isinstance(region, AnalyticRegion):
         return coverage_sampled(C, x, cap=cap, budget=budget, seed=seed, tol=tol)

@@ -11,24 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .engine import (Anchor, CoverageResult, compare_results, coverage_at,
-                     default_cap, default_tol)
-from .errors import IoError, PointNotInAnyLabel, RefinementPoint
+                     default_cap, default_tol, resolve_limits)
+from .errors import EvalError, IoError, PointNotInAnyLabel, RefinementPoint
 from .geometry import Ball, Certificate, as_point
 from .model import Classifier
-
-THREADS_ENV = "COVERAGE_LAB_THREADS"
-
-
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    limit = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(limit, n_tasks))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -79,38 +69,25 @@ def _resolve_points(C: Classifier, points) -> np.ndarray:
 def compute_field(C: Classifier, points, cap: float | None = None,
                   budget: int = 20_000, seed: int = 0,
                   tol: float | None = None) -> CoverageField:
-    """Per-point coverage_at over a grid spec (tuple of per-axis counts) or
-    an explicit (m, n) point array. Refinement-set points and points outside
-    every label are skipped and recorded, not errors.
-
-    Per-point work runs on a thread pool capped by COVERAGE_LAB_THREADS;
-    assembly order is the input point order regardless of scheduling.
-    """
-    cap = default_cap(C) if cap is None else float(cap)
-    tol = default_tol(C) if tol is None else float(tol)
-    pts = _resolve_points(C, points)
-
-    def work(item):
-        i, p = item
+    """coverage_at at each point of a grid spec (tuple of per-axis counts)
+    or an explicit (m, n) point array, in input order; point i gets seed
+    `seed * 1_000_003 + i`. Refinement-set points, points outside every
+    label and points whose own label cannot be evaluated are skipped and
+    recorded, not errors."""
+    cap, tol = resolve_limits(C, cap, tol)
+    kept, results, skipped = [], [], []
+    for i, p in enumerate(_resolve_points(C, points)):
         try:
-            return coverage_at(C, p, cap=cap, budget=budget,
-                               seed=seed * 1_000_003 + i, tol=tol)
-        except (RefinementPoint, PointNotInAnyLabel) as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=_max_workers(len(pts))) as pool:
-        outcomes = list(pool.map(work, enumerate(pts)))
-
-    kept_points, results, skipped = [], [], []
-    for p, out in zip(pts, outcomes):
-        if isinstance(out, RefinementPoint):
+            results.append(coverage_at(C, p, cap=cap, budget=budget,
+                                       seed=seed * 1_000_003 + i, tol=tol))
+            kept.append(p)
+        except RefinementPoint:
             skipped.append((p, "refinement point"))
-        elif isinstance(out, PointNotInAnyLabel):
+        except PointNotInAnyLabel:
             skipped.append((p, "outside all labels"))
-        else:
-            kept_points.append(p)
-            results.append(out)
-    return CoverageField(points=tuple(kept_points), results=tuple(results),
+        except EvalError:
+            skipped.append((p, "label not evaluable"))
+    return CoverageField(points=tuple(kept), results=tuple(results),
                          cap=cap, skipped=tuple(skipped))
 
 
@@ -141,6 +118,9 @@ def compare_at(C1: Classifier, C2: Classifier, points, cap: float | None = None,
             r2 = coverage_at(C2, p, cap=cap, budget=budget, seed=seed * 1_000_003 + i, tol=tol)
         except (RefinementPoint, PointNotInAnyLabel) as exc:
             skipped.append((p, str(exc)))
+            continue
+        except EvalError:
+            skipped.append((p, "label not evaluable"))
             continue
         entries.append((p, r1, r2, compare_results(r1, r2, tol=cmp_tol)))
     return ComparisonReport(entries=tuple(entries), skipped=tuple(skipped), cap=cap)

@@ -78,9 +78,6 @@ class Ball:
         _check_dim(x, self.center)
         return float(np.linalg.norm(x - self.center)) < self.radius
 
-    def sample(self, rng: np.random.Generator, m: int, surface: bool = False) -> np.ndarray:
-        return sample_in_ball(self.center, self.radius, rng, m, surface=surface)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Halfspace:
@@ -113,16 +110,6 @@ class Halfspace:
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         v = X @ self.a
         return v <= self.b if self.closed else v < self.b
-
-    def boundary(self) -> "Hyperplane":
-        return Hyperplane(self.a, self.b)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection of x onto the closure of the halfspace."""
-        v = float(self.a @ x) - self.b
-        if v <= 0.0:
-            return x
-        return x - (v / (self.norm ** 2)) * self.a
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -159,13 +146,6 @@ class Hyperplane:
     def signed_distance(self, x) -> float:
         x = as_point(x)
         return (float(self.a @ x) - self.b) / float(np.linalg.norm(self.a))
-
-    def contains(self, x, atol: float = 1e-9) -> bool:
-        return abs(self.signed_distance(x)) <= atol
-
-    def contains_many(self, X: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-        d = (X @ self.a - self.b) / float(np.linalg.norm(self.a))
-        return np.abs(d) <= atol
 
 
 class HPolytope:
@@ -378,7 +358,8 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     rng = np.random.default_rng(seed)
     m_int = m // 2
     m_surf = m - m_int
-    for pts in (B.sample(rng, m_int), B.sample(rng, m_surf, surface=True)):
+    for pts in (sample_in_ball(B.center, B.radius, rng, m_int),
+                sample_in_ball(B.center, B.radius, rng, m_surf, surface=True)):
         if pts.shape[0] == 0:
             continue
         try:

@@ -1,7 +1,8 @@
-"""Brute-force coverage oracles, independent of the bisection engine.
+"""A brute-force coverage oracle for convex labels, independent of the
+bisection engine.
 
-These exist to cross-check the engine: they grid candidate ball centers and
-evaluate the best anchor radius directly, with local grid refinement around
+It exists to cross-check the engine: it grids candidate ball centers and
+evaluates the best anchor radius directly, with local grid refinement around
 the incumbent. Slow and simple on purpose.
 """
 
@@ -46,66 +47,5 @@ def coverage_oracle_polytope(x, region, box, per_axis: int = 41,
                 best_r, best_c = float(radii[idx]), centers[idx]
         # zoom: new box is a neighborhood of the incumbent center
         span = (box[1] - box[0]) / (per_axis - 1) * 4.0
-        box = np.stack([best_c - span, best_c + span])
-    return best_r
-
-
-def boundary_distance(region, center: np.ndarray, dirs: np.ndarray,
-                      r_max: float, steps: int = 48) -> float:
-    """Distance from `center` to the complement of `region`, estimated as the
-    minimum over the given unit directions of the first exit radius.
-
-    All directions are bisected in lockstep (vectorized membership tests).
-    """
-    if not region.contains(center):
-        return 0.0
-    k = dirs.shape[0]
-    # coarse scan to bracket the FIRST exit along each ray (rays may
-    # re-enter the region, so plain bisection from r_max is not sound)
-    coarse = 64
-    ts = np.linspace(0.0, r_max, coarse + 1)[1:]
-    pts = center + ts[None, :, None] * dirs[:, None, :]
-    inside = region.contains_many(pts.reshape(-1, dirs.shape[1])).reshape(k, coarse)
-    any_out = ~np.all(inside, axis=1)
-    if not np.any(any_out):
-        return r_max
-    first_out = np.argmin(inside, axis=1)  # index of first False per ray
-    lo = np.where(first_out == 0, 0.0, ts[np.maximum(first_out - 1, 0)])
-    hi = ts[first_out]
-    lo = np.where(any_out, lo, r_max)
-    hi = np.where(any_out, hi, r_max)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        ins = region.contains_many(center + mid[:, None] * dirs)
-        lo = np.where(any_out & ins, mid, lo)
-        hi = np.where(any_out & ~ins, mid, hi)
-    return float(np.min(np.where(any_out, lo, r_max)))
-
-
-def coverage_oracle_region(x, region, box, per_axis: int = 31,
-                           n_dirs: int = 96, rounds: int = 2,
-                           r_max: float | None = None, seed: int = 0) -> float:
-    """Best anchor radius at x for an arbitrary region (union / analytic) by
-    center gridding with directional exit-radius estimation."""
-    x = as_point(x)
-    box = np.asarray(box, dtype=float)
-    n = x.shape[0]
-    if r_max is None:
-        r_max = 2.0 * float(np.linalg.norm(box[1] - box[0]))
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    best_r, best_c = 0.0, x
-    for _ in range(rounds):
-        centers = _grid(box, per_axis)
-        for c in centers:
-            gap = float(np.linalg.norm(c - x))
-            if gap >= r_max:
-                continue
-            r = boundary_distance(region, c, dirs, r_max)
-            if r > gap and r > best_r:
-                best_r, best_c = r, c
-        span = (box[1] - box[0]) / (per_axis - 1) * 3.0
         box = np.stack([best_c - span, best_c + span])
     return best_r

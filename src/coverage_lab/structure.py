@@ -14,8 +14,7 @@ import dataclasses
 import numpy as np
 
 from . import dsl
-from .engine import (Anchor, CoverageResult, coverage_at, default_cap,
-                     default_tol)
+from .engine import Anchor, CoverageResult, coverage_at, resolve_limits
 from .errors import (DegenerateSequence, RefinementPoint, UnsupportedRegion)
 from .geometry import Certificate, Halfspace, HPolytope, Hyperplane, as_point
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
@@ -378,8 +377,7 @@ def classify_structure(C: Classifier, probe_count: int = 30,
     """Empirical refined-linear test: probe coverage everywhere, then (if
     every probe exceeds the cap with exactly two labels) recover the
     separating hyperplane from bisection-located boundary points."""
-    cap = default_cap(C) if cap is None else float(cap)
-    tol = default_tol(C) if tol is None else float(tol)
+    cap, tol = resolve_limits(C, cap, tol)
     rng = np.random.default_rng(seed)
     probes = _feature_space_probes(C, probe_count, rng)
     if not probes:
@@ -546,8 +544,7 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
     negligible labels lie inside that shared hyperplane."""
     if not C.ordinary:
         raise ValueError("generalized-binary-linear test expects an ordinary classifier")
-    cap = default_cap(C) if cap is None else float(cap)
-    tol = default_tol(C) if tol is None else float(tol)
+    cap, tol = resolve_limits(C, cap, tol)
     rng = np.random.default_rng(seed)
 
     negligible, full = [], []

@@ -107,6 +107,16 @@ def test_coverage_bad_point_exit_2(capsys, spec_path_factory):
     assert code == 2
 
 
+@pytest.mark.parametrize("limits", [("--cap", "10", "--tol", "10"), ("--tol", "0"),
+                                    ("--cap", "-1")])
+def test_coverage_tol_not_below_cap_exit_2(capsys, spec_path_factory, limits):
+    spec = spec_path_factory("fig3.json")
+    code, out, err = run_cli(capsys, "coverage", "--classifier", spec,
+                             "--point", "5,0", *limits)
+    assert code == 2 and not out
+    assert "0 < tol < cap" in err
+
+
 # --- field ------------------------------------------------------------------
 
 def test_field_command_writes_csv(capsys, spec_path_factory, tmp_path):

@@ -14,7 +14,7 @@ from coverage_lab.errors import (EmptyRegion, PointNotInAnyLabel,
                                  PointNotInRegion, RefinementPoint)
 from coverage_lab.field import compute_field
 from coverage_lab.geometry import Ball, Halfspace, HPolytope, ball_in_region
-from coverage_lab.model import Classifier, analytic
+from coverage_lab.model import Classifier, UnionOfPolytopes, analytic
 
 # Sampled-route reference value, frozen from an exhaustive center-grid
 # search with exact line/curve distance evaluation (see tests/conftest
@@ -134,6 +134,26 @@ def test_bad_cap_or_tol():
         coverage_exact_convex([0.5, 0.5], unit_box(), cap=1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("cap,tol", [(10.0, 10.0), (None, 0.0), (-1.0, None)])
+def test_query_needs_tol_below_cap(cap, tol):
+    # fig3 takes the union route, fig1 the fully sampled one
+    for C in (load_builtin("fig3.json"), load_builtin("fig1.json")):
+        with pytest.raises(ValueError, match="0 < tol < cap"):
+            coverage_at(C, [5.0, 0.0], cap=cap, budget=1_000, tol=tol)
+        with pytest.raises(ValueError, match="0 < tol < cap"):
+            compute_field(C, [[5.0, 0.0]], cap=cap, budget=1_000, tol=tol)
+
+
+def test_small_cap_or_large_tol_is_no_silent_zero():
+    linear, fig3 = load_builtin("linear.json"), load_builtin("fig3.json")
+    res = coverage_at(linear, [0.0, 5.0], cap=1e-9, tol=1e-12)
+    assert res.kind == "exceeds_cap" and res.method == "exact"
+    with pytest.raises(ValueError):  # the default tol, 5.7e-5, is above that cap
+        coverage_at(linear, [0.0, 5.0], cap=1e-9)
+    res = coverage_at(fig3, [5.0, 0.0], tol=100.0)
+    assert res.kind == "bounded" and res.radius == pytest.approx(1.0)
+
+
 def test_point_just_inside_a_facet_is_not_zero():
     # zero is reserved for points on a facet; 1e-9 inside, the ball around
     # the point itself already holds
@@ -248,6 +268,24 @@ def test_unevaluable_samples_do_not_escape_the_query():
     assert res.kind in ("bounded", "exceeds_cap") and res.method == "lower_bound"
     F = compute_field(C, np.array([[3.0, 0.0], [-3.0, 1.0]]), budget=100_000)
     assert len(F.results) == 2 and not F.skipped
+
+
+def test_route_detail_says_whether_the_straddle_search_ran():
+    fig3 = load_builtin("fig3.json")
+    searched = coverage_at(fig3, [5.0, 0.0], budget=5_000, seed=0)
+    assert searched.detail["samples_spent"] > 0
+    assert searched.detail["component_floor"] == searched.radius  # floor kept
+    assert "component_floor" not in coverage_at(fig3, [5.0, 0.0], budget=0).detail
+    # a component exceeds the cap: the floor is the answer, no search runs
+    U = UnionOfPolytopes((HPolytope((Halfspace([1.0, 0.0], 0.0, False),)),
+                          HPolytope((Halfspace([0.0, 1.0], 0.0, False),))))
+    V = HPolytope((Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], 0.0)))
+    C = Classifier(dimension=2, labels={"U": U, "V": V})
+    res = coverage_at(C, [-5.0, 5.0], cap=100.0, budget=5_000, seed=0)
+    assert res.kind == "exceeds_cap" and "component_floor" not in res.detail
+    analytic_res = coverage_at(load_builtin("fig1.json"), [3.0, 0.5], budget=2_000)
+    assert analytic_res.detail["samples_spent"] > 0
+    assert "component_floor" not in analytic_res.detail
 
 
 def test_sampled_budget_zero_is_lower_bound_zero():

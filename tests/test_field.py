@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from coverage_lab.data import load_builtin
-from coverage_lab.errors import IoError
-from coverage_lab.field import (compare_at, compute_field, export_field,
-                                field_from_dict, field_to_dict, grid_points,
-                                import_field)
+from coverage_lab.engine import coverage_at
+from coverage_lab.errors import EvalError, IoError
+from coverage_lab.field import (CoverageField, compare_at, compute_field,
+                                export_field, field_from_dict, field_to_dict,
+                                grid_points, import_field)
 from coverage_lab.geometry import Halfspace
 from coverage_lab.model import Classifier, analytic
 from coverage_lab.structure import refine_boundary
@@ -67,6 +68,48 @@ def test_field_skips_unlabeled_points():
     F = compute_field(C, np.array([[0.5, 0.0], [-1.0, 0.0]]), budget=1_000, seed=0)
     assert len(F.points) == 1
     assert F.skipped[0][1] == "outside all labels"
+
+
+def test_field_is_coverage_at_point_by_point():
+    # sampled route, so each point's result depends on the seed it gets;
+    # [0, -3] lies on x2 = -x1 - 3, in the refinement set, and is skipped
+    R = refine_boundary(load_builtin("fig1.json"))
+    pts = np.array([[3.0, 0.5], [0.0, -3.0], [-15.0, 10.0], [5.0, 0.0]])
+    F = compute_field(R, pts, budget=2_000, seed=4)
+    kept = [0, 2, 3]
+    expected = [coverage_at(R, pts[i], budget=2_000, seed=4 * 1_000_003 + i)
+                for i in kept]
+    assert np.array_equal(np.array(F.points), pts[kept])
+    assert [r.detail for r in F.results] == [r.detail for r in expected]
+    mirror = CoverageField(points=tuple(pts[kept]), results=tuple(expected), cap=F.cap,
+                           skipped=((pts[1], "refinement point"),))
+    assert field_to_dict(F) == field_to_dict(mirror)
+
+
+def exp_classifier() -> Classifier:
+    # exp(x1) overflows at x1 = 800, so neither label can say whether it
+    # holds [800, 0]
+    return Classifier(dimension=2, labels={"P": analytic("exp(x1) > 1", 2),
+                                           "N": analytic("exp(x1) <= 1", 2)})
+
+
+def test_field_skips_points_whose_label_cannot_be_evaluated():
+    C = exp_classifier()
+    with pytest.raises(EvalError):
+        coverage_at(C, [800.0, 0.0], budget=1_000)
+    F = compute_field(C, [[3.0, 0.0], [800.0, 0.0]], budget=1_000)
+    assert len(F.results) == 1 and np.array_equal(F.points[0], [3.0, 0.0])
+    assert F.results[0].kind in ("bounded", "exceeds_cap")
+    (point, reason), = F.skipped
+    assert np.array_equal(point, [800.0, 0.0]) and reason == "label not evaluable"
+
+
+def test_compare_skips_points_whose_label_cannot_be_evaluated():
+    C = exp_classifier()
+    rep = compare_at(C, C, [[3.0, 0.0], [800.0, 0.0]], budget=1_000)
+    assert len(rep.entries) == 1 and np.array_equal(rep.entries[0][0], [3.0, 0.0])
+    (point, reason), = rep.skipped
+    assert np.array_equal(point, [800.0, 0.0]) and reason == "label not evaluable"
 
 
 def test_field_probe_superset_tightens_estimates():
