@@ -126,12 +126,9 @@ def cmd_structure(args) -> int:
             value = ",".join(str(x) for x in value)
         print(f"{key}: {value}")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         print(f"wrote: {args.out}")
     return EXIT_OK
 
@@ -173,11 +170,8 @@ def cmd_verify(args) -> int:
     passed, report = verify_mod.run_suite(seed=args.seed)
     sys.stdout.write(report)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report)
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}")
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -246,10 +240,8 @@ def main(argv=None) -> int:
     except (RefinementPoint, PointNotInAnyLabel, NoLabel, AmbiguousLabel) as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return EXIT_QUERY
-    except (SpecParseError, SchemaError, IoError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except FileNotFoundError as exc:
+    except (SpecParseError, SchemaError, IoError, OSError) as exc:
+        # OSError: a path that cannot be read or written
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (ValueError, CoverageLabError) as exc:

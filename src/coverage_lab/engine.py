@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (EmptyPolytope, EmptyRegion, EvalError, NoLabel,
                      PointNotInAnyLabel, PointNotInRegion, RefinementPoint)
 from .geometry import (Ball, Certificate, Halfspace, HPolytope, as_point,
-                       ball_in_region, project_onto_polytope, sample_in_ball,
-                       shrink_polytope)
+                       as_polytope, ball_in_region, project_onto_polytope,
+                       sample_in_ball, shrink_polytope)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
                     label_of)
 
@@ -106,14 +106,6 @@ def compare_results(r1: CoverageResult, r2: CoverageResult, tol: float = 0.0) ->
 
 # --- exact convex route ----------------------------------------------------
 
-def _as_polytope(region) -> HPolytope:
-    if isinstance(region, Halfspace):
-        return HPolytope((region,))
-    if isinstance(region, HPolytope):
-        return region
-    raise TypeError(f"convex route needs Halfspace or HPolytope, got {type(region).__name__}")
-
-
 def _feasible_center(x: np.ndarray, P: HPolytope, r: float, tol: float):
     """(center, r) of a radius-r ball inscribed in P that contains x
     strictly, else (None, bound): no radius above bound <= r is feasible.
@@ -148,12 +140,13 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     Zero exactly when x lies on a facet, up to rounding. Otherwise bisection
     from x's distance to the nearest facet (the ball around x) up to the
     cap, where an empty body lowers the upper end to its Farkas bound.
+    Raises ExactUnsupported for a region that is not convex.
     """
     x = as_point(x)
     if not 0 < tol < cap:
         raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
-    P = _as_polytope(region)
-    if not region.contains(x):
+    P = as_polytope(region)
+    if not P.contains(x):
         # boundary points of closed regions are members; anything else is out
         if not P.closure_contains(x, atol=1e-12):
             try:
@@ -170,7 +163,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     z, hi = _feasible_center(x, P, cap_probe, tol)
     if z is not None:
         # balls nested in B(z, cap_probe) that still hold x
-        witnesses = tuple(_anchor(x, shrink_toward(x, z, r, cap_probe), r, region, label)
+        witnesses = tuple(_anchor(x, shrink_toward(x, z, r, cap_probe), r, P, label)
                           for r in (cap / 4, cap / 2, cap * (1 + 1e-9) + 2 * tol))
         return CoverageResult("exceeds_cap", "exact", cap=cap,
                               witness=witnesses[-1], witnesses=witnesses)
@@ -185,7 +178,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         else:
             hi = max(lo, bound)
     return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi),
-                          witness=_anchor(x, center, lo, region, label))
+                          witness=_anchor(x, center, lo, P, label))
 
 
 # --- sampled route ---------------------------------------------------------
@@ -447,6 +440,11 @@ def coverage_sampled(C: Classifier, x, cap: float | None = None,
     """Sampled lower-bound coverage at x, for any label kind."""
     cap, tol = resolve_limits(C, cap, tol)
     x, name = _resolve_query(C, x)
+    return _fully_sampled(C, x, name, cap, budget, seed, tol)
+
+
+def _fully_sampled(C: Classifier, x, name: str, cap: float, budget: int,
+                   seed: int, tol: float) -> CoverageResult:
     if budget <= 0:
         return CoverageResult("zero", "lower_bound",
                               detail={"note": "no certification attempted", "budget": 0})
@@ -502,7 +500,7 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
         return _sampled_result(search, seed, floor)
 
     if isinstance(region, AnalyticRegion):
-        return coverage_sampled(C, x, cap=cap, budget=budget, seed=seed, tol=tol)
+        return _fully_sampled(C, x, name, cap, budget, seed, tol)
 
     raise TypeError(f"unsupported region type {type(region).__name__}")
 

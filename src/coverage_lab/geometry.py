@@ -197,9 +197,17 @@ class HPolytope:
     def closure_contains(self, x, atol: float = 0.0) -> bool:
         return bool((self.A @ as_point(x) <= self.b + atol).all())
 
-    def max_violation(self, x: np.ndarray) -> float:
-        """Largest normalized constraint violation of the closure at x."""
-        return max(0.0, float(np.max(self.A @ x - self.b)))
+
+def as_polytope(region) -> HPolytope:
+    """A convex label as an HPolytope: a Halfspace becomes one row, an
+    HPolytope is returned as is, and any other region raises
+    ExactUnsupported."""
+    if isinstance(region, Halfspace):
+        return HPolytope((region,))
+    if isinstance(region, HPolytope):
+        return region
+    raise ExactUnsupported(f"exact checks need a Halfspace or HPolytope, "
+                           f"got {type(region).__name__}")
 
 
 def shrink_polytope(P: HPolytope, r: float) -> HPolytope:
@@ -319,37 +327,24 @@ class Certificate:
 PROVEN = Certificate("proven")
 
 
-def _exact_ball_slack(h: Halfspace, B: Ball) -> float:
-    return 1e-9 * (1.0 + abs(h.b) + B.radius * h.norm + h.norm * float(np.linalg.norm(B.center)))
-
-
-def ball_in_halfspace_exact(B: Ball, h: Halfspace) -> bool:
-    """Open-ball containment with tangency permitted: a.c <= b - r*||a||."""
-    return float(h.a @ B.center) <= h.b - B.radius * h.norm + _exact_ball_slack(h, B)
-
-
 def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     """Certify B inside `region`.
 
     method='exact' supports Halfspace and HPolytope only and returns
-    proven/refuted. method=('sampled', m, seed) draws m uniform interior
+    proven/refuted: A c <= b - r on the unit rows, up to a float-relative
+    slack. method=('sampled', m, seed) draws m uniform interior
     points (half of them just inside the surface) and refutes on the first
     point outside the region, or when some point's label cannot be
     evaluated; else it returns unfalsified.
     """
     if method == "exact":
-        if isinstance(region, Halfspace):
-            hs = (region,)
-        elif isinstance(region, HPolytope):
-            hs = region.halfspaces
-        else:
-            raise ExactUnsupported(
-                f"exact ball containment unsupported for {type(region).__name__}")
-        for h in hs:
-            if not ball_in_halfspace_exact(B, h):
-                # witness just inside the ball, in the violated direction
-                w = B.center + (B.radius * (1.0 - 1e-9) / h.norm) * h.a
-                return Certificate("refuted", witness=w)
+        P = as_polytope(region)
+        c, r = B.center, B.radius
+        slack = 1e-9 * (1.0 + np.abs(P.b) + r + float(np.linalg.norm(c)))
+        bad = np.flatnonzero(P.A @ c > P.b - r + slack)
+        if bad.size:
+            # witness just inside the ball, in the violated direction
+            return Certificate("refuted", witness=c + (r * (1.0 - 1e-9)) * P.A[bad[0]])
         return PROVEN
 
     kind, m, seed = method
@@ -370,3 +365,25 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
             idx = int(np.flatnonzero(~inside)[0])
             return Certificate("refuted", witness=pts[idx], samples=m, seed=seed)
     return Certificate("unfalsified", samples=m, seed=seed)
+
+
+def halfspace_in_region(x, d, region) -> Certificate:
+    """Is the open halfspace H = {p : d.(p - x) > 0} (d unit) inside a
+    convex region? Over H, u.p is bounded only when u = -d, and then its
+    supremum -d.x is approached but never attained; so H lies inside
+    exactly when every unit row is -d and x meets it. A refutation's
+    witness lies in H and violates the first failing row.
+    """
+    P = as_polytope(region)
+    x, d = as_point(x), as_point(d)
+    ud, gap = P.A @ d, P.A @ x - P.b
+    anti = ud <= -1.0 + 1e-9
+    bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + float(np.linalg.norm(x)))))
+    if not bad.size:
+        return PROVEN
+    i = int(bad[0])
+    if anti[i]:  # x violates row i, and so does x + t d for t < gap
+        return Certificate("refuted", witness=x + (0.5 * gap[i]) * d)
+    # along u + d both d.p and u.p grow at the rate 1 + u.d > 0
+    t = (1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + float(np.linalg.norm(x))) / (1.0 + ud[i])
+    return Certificate("refuted", witness=x + t * (P.A[i] + d))

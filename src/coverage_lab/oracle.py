@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Halfspace, HPolytope, as_point
+from .geometry import HPolytope, as_point, as_polytope
 
 
 def inscribed_radius_polytope(P: HPolytope, centers: np.ndarray) -> np.ndarray:
@@ -34,7 +34,7 @@ def coverage_oracle_polytope(x, region, box, per_axis: int = 41,
     grid around the incumbent each round.
     """
     x = as_point(x)
-    P = HPolytope((region,)) if isinstance(region, Halfspace) else region
+    P = as_polytope(region)
     box = np.asarray(box, dtype=float)
     best_r, best_c = 0.0, x
     for _ in range(rounds):

@@ -15,8 +15,10 @@ import numpy as np
 
 from . import dsl
 from .engine import Anchor, CoverageResult, coverage_at, resolve_limits
-from .errors import (DegenerateSequence, RefinementPoint, UnsupportedRegion)
-from .geometry import Certificate, Halfspace, HPolytope, Hyperplane, as_point
+from .errors import (AmbiguousLabel, DegenerateSequence, EvalError, NoLabel,
+                     RefinementPoint, UnsupportedRegion)
+from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane, as_point,
+                       halfspace_in_region)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
                     label_of, sample_box)
 
@@ -81,8 +83,8 @@ def _forced_hyperplane(p: HPolytope, atol: float = 1e-9):
     pairs = np.argwhere(np.triu((p.A @ p.A.T < -1.0 + 1e-12) & gap, k=1))
     if not pairs.size:
         return None
-    h = p.halfspaces[pairs[0, 0]]
-    return Hyperplane(h.a, h.b)
+    i = pairs[0, 0]
+    return Hyperplane(p.A[i], p.b[i])
 
 
 def _piece_signature(p: HPolytope):
@@ -245,29 +247,6 @@ def estimate_asymptotic_direction(anchors, x) -> DirectionEstimate:
 
 # --- halfspace certificates ------------------------------------------------
 
-def _halfspace_in_constraint(x, d, h: Halfspace):
-    """Is H = {p : d.(p - x) > 0} inside the constraint a.p <(=) b?
-
-    Returns (True, None) or (False, witness point in H violating it).
-    """
-    a, b = h.a, h.b
-    au = a / h.norm
-    if float(au @ d) <= -1.0 + 1e-9:
-        # a antiparallel to d: sup of a.p over H is a.x (approached, never attained)
-        if float(a @ x) <= b + 1e-9 * (1 + abs(b)):
-            return True, None
-        t = (float(a @ x) - b) / (2 * h.norm ** 2)
-        return False, x + 1e-6 * d - t * 0  # any H point near x violates already
-    # a.p is unbounded above on H: push along the part of a compatible with H
-    w = a - float(a @ d) * d
-    wn = float(np.linalg.norm(w))
-    step = d if wn < 1e-12 else w / wn
-    base = x + 1e-3 * d
-    deficit = b - float(a @ base)
-    t = max(1.0, (deficit + 1.0 + abs(b)) / max(float(a @ step), 1e-12))
-    return False, base + t * step
-
-
 def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
                           seed: int = 0) -> Certificate:
     """Test whether the open halfspace {p : direction.(p - x) > 0} lies
@@ -277,18 +256,16 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
     name = label_of(C, x)
     if name == REFINEMENT:
         raise RefinementPoint("certificate base point lies in the refinement set")
-    region = C.labels[name]
     d = as_point(direction)
-    d = d / float(np.linalg.norm(d))
+    return _halfspace_in(C, C.labels[name], x, d / float(np.linalg.norm(d)), budget, seed)
 
+
+def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certificate:
+    """The open halfspace {p : d.(p - x) > 0} (d unit) inside `region`,
+    which need not hold x. A sample whose label cannot be evaluated
+    refutes without a witness."""
     if isinstance(region, (Halfspace, HPolytope)):
-        hs = (region,) if isinstance(region, Halfspace) else region.halfspaces
-        for h in hs:
-            ok, witness = _halfspace_in_constraint(x, d, h)
-            if not ok:
-                return Certificate("refuted", witness=witness)
-        return Certificate("proven")
-
+        return halfspace_in_region(x, d, region)
     rng = np.random.default_rng(seed)
     diam = C.diameter
     n_box = max(budget * 9 // 10, 1)
@@ -304,7 +281,10 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
     for batch in (pts, far):
         if batch.shape[0] == 0:
             continue
-        inside = region.contains_many(batch)
+        try:
+            inside = region.contains_many(batch)
+        except EvalError:
+            return Certificate("refuted", samples=budget, seed=seed)
         if not np.all(inside):
             idx = int(np.flatnonzero(~inside)[0])
             return Certificate("refuted", witness=batch[idx],
@@ -325,7 +305,7 @@ def _feature_space_probes(C: Classifier, count: int, rng) -> list:
             attempts += 1
             try:
                 name = label_of(C, p)
-            except Exception:
+            except (NoLabel, AmbiguousLabel, EvalError):
                 continue
             if name == REFINEMENT:
                 continue
@@ -347,7 +327,7 @@ def _bisect_boundary(C: Classifier, pa, pb, la, lb):
         p = pa + mid * seg
         try:
             name = label_of(C, p)
-        except Exception:
+        except (NoLabel, AmbiguousLabel, EvalError):
             name = None
         if name == la:
             lo = mid
@@ -492,23 +472,14 @@ def _label_boundary_hyperplane(C: Classifier, name: str, rng,
     if res.kind != "exceeds_cap" or len(res.witnesses) < 3:
         return None
     d = estimate_asymptotic_direction(res.witnesses, x).direction
-    cert = halfspace_certificate(C, x, d, budget=budget, seed=int(rng.integers(2**32)))
-    if not cert.ok:
-        return None
 
     def contained(offset: float) -> bool:
         base = x + (offset - float(d @ x)) * d
-        try:
-            return halfspace_certificate(C, base, d, budget=budget,
-                                         seed=int(rng.integers(2**32))).ok
-        except Exception:
-            # base point may fall outside the label; test containment directly
-            rng2 = np.random.default_rng(int(rng.integers(2**32)))
-            pts = sample_box(C.domain_box, rng2, budget)
-            keep = pts @ d > offset
-            return bool(np.all(region.contains_many(pts[keep]))) if keep.any() else False
+        return _halfspace_in(C, region, base, d, budget, int(rng.integers(2**32))).ok
 
     c0 = float(d @ x)
+    if not contained(c0):
+        return None
     step = max(tol, 1e-3 * C.diameter)
     lo = c0
     while contained(lo - step) and step < 1e3 * C.diameter:

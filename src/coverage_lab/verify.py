@@ -341,8 +341,8 @@ _DETERMINISM_SUBSET = (1, 3, 5)
 
 def criterion_10(seed: int):
     """Reports are byte-identical across repeated runs with the same seed."""
-    first = _subset_report(seed, _DETERMINISM_SUBSET)
-    second = _subset_report(seed, _DETERMINISM_SUBSET)
+    first = run_suite(seed, _DETERMINISM_SUBSET)
+    second = run_suite(seed, _DETERMINISM_SUBSET)
     ok = first == second
     return ok, [f"subset: {' '.join(map(str, _DETERMINISM_SUBSET))}",
                 f"identical: {str(ok).lower()}"]
@@ -375,15 +375,6 @@ def _criterion_block(num: int, title: str, passed: bool, lines) -> list:
            f"pass: {str(passed).lower()}"]
     out.extend(f"  {line}" for line in lines)
     return out
-
-
-def _subset_report(seed: int, numbers) -> str:
-    blocks = []
-    for num, title, func in CRITERIA:
-        if num in numbers:
-            passed, lines = func(seed)
-            blocks.extend(_criterion_block(num, title, passed, lines))
-    return "\n".join(blocks)
 
 
 def run_suite(seed: int = 0, numbers=None):

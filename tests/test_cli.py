@@ -100,6 +100,18 @@ def test_coverage_broken_spec_exit_2(capsys, tmp_path):
     assert "spec error" in err
 
 
+def test_directory_paths_exit_2(capsys, spec_path_factory, tmp_path):
+    # a directory where a file is expected is a usage error, not a failed
+    # verification
+    spec = spec_path_factory("linear.json")
+    for argv in (("refine", "--classifier", spec, "--out", str(tmp_path)),
+                 ("coverage", "--classifier", str(tmp_path), "--point", "0,0"),
+                 ("field", "--classifier", spec, "--points-file", str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "spec error" in err and str(tmp_path) in err
+
+
 def test_coverage_bad_point_exit_2(capsys, spec_path_factory):
     spec = spec_path_factory("fig3.json")
     code, _, err = run_cli(capsys, "coverage", "--classifier", spec,

@@ -10,8 +10,9 @@ from coverage_lab.engine import (Anchor, CoverageResult, certify_anchor,
                                  compare_results, coverage_at,
                                  coverage_exact_convex, coverage_sampled,
                                  shrink_toward)
-from coverage_lab.errors import (EmptyRegion, PointNotInAnyLabel,
-                                 PointNotInRegion, RefinementPoint)
+from coverage_lab.errors import (EmptyRegion, ExactUnsupported,
+                                 PointNotInAnyLabel, PointNotInRegion,
+                                 RefinementPoint)
 from coverage_lab.field import compute_field
 from coverage_lab.geometry import Ball, Halfspace, HPolytope, ball_in_region
 from coverage_lab.model import Classifier, UnionOfPolytopes, analytic
@@ -125,6 +126,15 @@ def test_empty_region_raises():
     empty = HPolytope((Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)))
     with pytest.raises(EmptyRegion):
         coverage_exact_convex([0.5, 0.0], empty, cap=10.0, tol=1e-6)
+
+
+@pytest.mark.parametrize("region", [
+    UnionOfPolytopes((unit_box(),)), analytic("x1 * x1 + x2 * x2 < 1", 2)])
+def test_exact_checks_reject_non_convex_regions(region):
+    with pytest.raises(ExactUnsupported):
+        coverage_exact_convex([0.5, 0.5], region, cap=10.0, tol=1e-6)
+    with pytest.raises(ExactUnsupported):
+        ball_in_region(Ball([0.5, 0.5], 0.1), region, "exact")
 
 
 def test_bad_cap_or_tol():
@@ -286,6 +296,17 @@ def test_route_detail_says_whether_the_straddle_search_ran():
     analytic_res = coverage_at(load_builtin("fig1.json"), [3.0, 0.5], budget=2_000)
     assert analytic_res.detail["samples_spent"] > 0
     assert "component_floor" not in analytic_res.detail
+
+
+@pytest.mark.parametrize("spec, point", [("fig1.json", [3.0, 0.5]),
+                                         ("fig3.json", [5.0, 0.0])])
+def test_sampled_query_resolves_its_label_once(monkeypatch, spec, point):
+    calls = []
+    real = engine.label_of
+    monkeypatch.setattr(engine, "label_of",
+                        lambda C, x: calls.append(1) or real(C, x))
+    coverage_at(load_builtin(spec), point, budget=2_000)
+    assert len(calls) == 1
 
 
 def test_sampled_budget_zero_is_lower_bound_zero():

@@ -11,9 +11,9 @@ import pytest
 
 from coverage_lab.errors import DimensionMismatch, EmptyPolytope, ExactUnsupported
 from coverage_lab.geometry import (Ball, Halfspace, HPolytope, Hyperplane,
-                                   ball_in_halfspace_exact, ball_in_region,
-                                   project_onto_polytope, sample_in_ball,
-                                   shrink_polytope)
+                                   as_polytope, ball_in_region,
+                                   halfspace_in_region, project_onto_polytope,
+                                   sample_in_ball, shrink_polytope)
 
 
 def unit_box(n: int, closed: bool = True) -> HPolytope:
@@ -121,20 +121,14 @@ def test_shrink_rejects_negative_radius():
         shrink_polytope(unit_box(2), -0.1)
 
 
-def test_max_violation():
-    P = unit_box(2)
-    assert P.max_violation(np.array([0.5, 0.5])) == 0.0
-    assert abs(P.max_violation(np.array([1.5, 0.5])) - 0.5) < 1e-12
-
-
 # --- tangency convention ----------------------------------------------------
 
 def test_tangent_ball_allowed_even_against_open_halfspace():
     # open ball tangent to the boundary has no interior point on it
     h_open = Halfspace([1.0, 0.0], 1.0, False)
     b = Ball([0.0, 0.0], 1.0)
-    assert ball_in_halfspace_exact(b, h_open)
-    assert not ball_in_halfspace_exact(Ball([0.1, 0.0], 1.0), h_open)
+    assert ball_in_region(b, h_open).ok
+    assert not ball_in_region(Ball([0.1, 0.0], 1.0), h_open).ok
 
 
 def test_ball_in_region_exact_refutation_witness():
@@ -153,6 +147,81 @@ def test_ball_in_region_exact_unsupported_kind():
 
     with pytest.raises(ExactUnsupported):
         ball_in_region(Ball([0.0], 1.0), Blob(), "exact")
+
+
+def _ball_in_rows(B: Ball, hs) -> bool:
+    """Per-row reference on the raw rows: a.c <= b - r*||a|| for each."""
+    return all(float(h.a @ B.center) <= h.b - B.radius * float(np.linalg.norm(h.a))
+               for h in hs)
+
+
+def test_ball_in_region_exact_matches_per_row_reference():
+    # scaled normals, open and closed rows, and one-row Halfspace labels
+    rng = np.random.default_rng(11)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        hs = []
+        for _ in range(m):
+            a = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3)
+            hs.append(Halfspace(a, float(np.linalg.norm(a)) * rng.uniform(-2.0, 6.0),
+                                bool(rng.integers(2))))
+        region = hs[0] if m == 1 else HPolytope(hs)
+        B = Ball(rng.uniform(-1.0, 1.0, n), 10 ** rng.uniform(-1, 0.5))
+        margins = [(h.b - B.radius * h.norm - float(h.a @ B.center)) / h.norm for h in hs]
+        if min(abs(v) for v in margins) < 1e-6:
+            continue  # too close to tangency for the reference to settle it
+        want = _ball_in_rows(B, hs)
+        cert = ball_in_region(B, region, "exact")
+        assert cert.ok == want
+        verdicts[want] += 1
+        if not want:  # the witness lies in the ball and outside the label
+            assert B.contains(cert.witness) and not region.contains(cert.witness)
+    assert min(verdicts.values()) >= 100
+
+
+def test_as_polytope():
+    h = Halfspace([0.0, 2.0], 4.0, False)
+    P = as_polytope(h)
+    assert np.allclose(P.A, [[0.0, 1.0]]) and np.allclose(P.b, [2.0])
+    assert not P.closed[0] and as_polytope(P) is P
+    with pytest.raises(ExactUnsupported):
+        as_polytope(Ball([0.0, 0.0], 1.0))
+
+
+def test_halfspace_in_region_matches_brute_force():
+    # H = {p : d.(p - x) > 0} lies in the label exactly when every row is
+    # anti-parallel to d and x meets it
+    rng = np.random.default_rng(7)
+    verdicts = {"proven": 0, "refuted": 0}
+    for _ in range(600):
+        n = int(rng.integers(2, 5))
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        e = rng.standard_normal(n)
+        e -= (e @ d) * d
+        e /= np.linalg.norm(e)
+        x = rng.standard_normal(n) * 10 ** rng.uniform(-1, 3)
+        hs, contained = [], True
+        for _ in range(int(rng.integers(1, 4))):
+            kind = int(rng.choice(6, p=[0.55, 0.15, 0.1, 0.1, 0.05, 0.05]))
+            scale = 10 ** rng.uniform(-3, 3)
+            a = scale * [-d, -d, rng.standard_normal(n), d, e, -d + 1e-3 * e][kind]
+            # anti-parallel rows: x inside (kind 0, half the time on the
+            # boundary, which H never reaches) or just outside (kind 1)
+            shift = {0: rng.uniform(0.0, 2.0) * rng.integers(2),
+                     1: -10 ** rng.uniform(-7.5, 0.3)}.get(kind, rng.normal())
+            hs.append(Halfspace(a, float(a @ x) + shift * scale * (1.0 + np.linalg.norm(x)),
+                                bool(rng.integers(2))))
+            contained = contained and kind == 0
+        region = hs[0] if len(hs) == 1 else HPolytope(hs)
+        cert = halfspace_in_region(x, d, region)
+        assert cert.kind == ("proven" if contained else "refuted")
+        verdicts[cert.kind] += 1
+        if not contained:  # the witness lies in H and outside the label
+            w = cert.witness
+            assert float(d @ (w - x)) > 0 and not region.contains(w)
+    assert min(verdicts.values()) >= 100
 
 
 def test_ball_in_region_sampled():
@@ -290,7 +359,7 @@ def test_least_distance_matches_brute_force_on_random_systems():
         # ill-conditioned for both methods (one case here lies at 6.2e5)
         assert abs(d - reference) <= 1e-7 * max(1.0, reference)
         assert abs(d - float(np.linalg.norm(z - x))) <= 1e-12 * (1.0 + d)
-        assert P.max_violation(z) <= 1e-9 * (1.0 + float(np.max(np.abs(P.b))))
+        assert np.max(P.A @ z - P.b) <= 1e-9 * (1.0 + float(np.max(np.abs(P.b))))
     # both verdicts are exercised
     assert min(verdicts.values()) >= 50
 

@@ -199,6 +199,16 @@ def test_halfspace_certificate_sampled_on_analytic_label():
                                      budget=20_000, seed=0).kind == "refuted"
 
 
+def test_halfspace_certificate_unevaluable_sample_refutes():
+    # exp(2*x2) overflows in the far field above x: that sample cannot be
+    # evaluated, so the halfspace is refuted without a witness
+    C = Classifier(dimension=2, labels={"P": analytic("exp(2*x2) > 1", 2),
+                                        "N": analytic("exp(2*x2) <= 1", 2)})
+    cert = halfspace_certificate(C, [0.0, 5.0], [0.0, 1.0], budget=2000)
+    assert cert.kind == "refuted" and cert.witness is None
+    assert cert.samples == 2000 and cert.seed == 0
+
+
 def test_halfspace_certificate_refinement_point_raises():
     C = load_builtin("refined_linear.json")
     with pytest.raises(RefinementPoint):
