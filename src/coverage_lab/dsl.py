@@ -14,14 +14,22 @@ Grammar (lowest to highest precedence)::
                 | FUNC "(" expr ")" | "(" expr ")"
 
 Variables are x1..xn. Functions: sin, cos, exp, abs (radians for trig).
-Comparisons appear only above arithmetic subtrees; boolean operators only
-above comparisons. Arithmetic follows IEEE semantics, but any non-finite
-intermediate raises EvalError instead of silently comparing.
+Numeric literals must be finite. Comparisons appear only above arithmetic
+subtrees; boolean operators only above comparisons. Arithmetic follows IEEE
+semantics, but any non-finite intermediate raises EvalError instead of
+silently comparing.
+
+A Predicate compiles its tree once, when it is made, into a tree of
+closures, and each evaluation runs them under one floating-point error
+state. They apply the same ufuncs to the same values as a node-by-node walk
+of the tree, so results are bit-identical to it; tests/test_dsl.py keeps
+that walk as the reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -235,7 +243,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, val, off = self.next()
         if kind == "num":
-            return Num(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise DslSyntaxError(f"numeric literal {val} is not finite", off)
+            return Num(value)
         if kind == "op" and val == "(":
             e = self.parse_or()
             self.expect_op(")")
@@ -354,63 +365,64 @@ def unparse(e: Expr) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-def _eval(e: Expr, X: np.ndarray):
-    """Evaluate over a batch of points X with shape (m, n).
-
-    Numeric nodes yield float arrays of shape (m,), boolean nodes bool
-    arrays. Non-finite arithmetic intermediates raise EvalError.
-    """
-    if isinstance(e, Num):
-        return np.full(X.shape[0], e.value)
-    if isinstance(e, Var):
-        return X[:, e.index - 1]
-    if isinstance(e, BoolLit):
-        return np.full(X.shape[0], e.value, dtype=bool)
-    if isinstance(e, Neg):
-        return -_eval(e.operand, X)
-    if isinstance(e, Call):
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = FUNCTIONS[e.func](_eval(e.arg, X))
-        _check_finite(v)
-        return v
-    if isinstance(e, Arith):
-        l = _eval(e.left, X)
-        r = _eval(e.right, X)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if e.op == "+":
-                v = l + r
-            elif e.op == "-":
-                v = l - r
-            elif e.op == "*":
-                v = l * r
-            else:
-                v = l / r
-        _check_finite(v)
-        return v
-    if isinstance(e, Cmp):
-        l = _eval(e.left, X)
-        r = _eval(e.right, X)
-        if e.op == "<":
-            return l < r
-        if e.op == "<=":
-            return l <= r
-        if e.op == ">":
-            return l > r
-        if e.op == ">=":
-            return l >= r
-        return l == r
-    if isinstance(e, Not):
-        return ~_eval(e.operand, X)
-    if isinstance(e, BoolOp):
-        l = _eval(e.left, X)
-        r = _eval(e.right, X)
-        return (l & r) if e.op == "and" else (l | r)
-    raise TypeError(f"not an expression node: {e!r}")
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "<": np.less, "<=": np.less_equal, ">": np.greater,
+           ">=": np.greater_equal, "==": np.equal,
+           "and": np.bitwise_and, "or": np.bitwise_or}
+# floating-point flags that a non-finite check stands in for
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
-def _check_finite(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.isfinite(v).all():
         raise EvalError("non-finite intermediate value (NaN or Inf)")
+    return v
+
+
+def _full(v):
+    return lambda X: np.full(X.shape[0], v)
+
+
+def _binary(op, l, r):
+    """op on two compiled operands. A constant operand enters as a float64
+    scalar; of two constants, the left one as a full array."""
+    if not callable(l):
+        if callable(r):
+            return lambda X: op(l, r(X))
+        l = _full(l)
+    if callable(r):
+        return lambda X: op(l(X), r(X))
+    return lambda X: op(l(X), r)
+
+
+def _compile(e: Expr):
+    """Compile e into a closure from a batch X of shape (m, n) to an (m,)
+    array. A numeric literal and its negations compile to their float64
+    value, which enters arithmetic and comparisons as a scalar (IEEE rounding
+    makes that bit-identical to a full array) and calls as a full array.
+    Arithmetic and call results that are not finite raise EvalError."""
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        i = e.index - 1
+        return lambda X: X[:, i]
+    if isinstance(e, BoolLit):
+        return _full(e.value)
+    if isinstance(e, Neg):
+        f = _compile(e.operand)
+        return (lambda X: -f(X)) if callable(f) else -f
+    if isinstance(e, Not):
+        f = _compile(e.operand)
+        return lambda X: ~f(X)
+    if isinstance(e, Call):
+        func, f = FUNCTIONS[e.func], _compile(e.arg)
+        if not callable(f):
+            f = _full(f)
+        return lambda X: _finite(func(f(X)))
+    if isinstance(e, (Arith, Cmp, BoolOp)):
+        f = _binary(_BINARY[e.op], _compile(e.left), _compile(e.right))
+        return (lambda X: _finite(f(X))) if isinstance(e, Arith) else f
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -419,24 +431,28 @@ class Predicate:
 
     expr: Expr
     dimension: int
+    _compiled: object = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not is_boolean(self.expr):
             raise DslTypeError("predicate root must be a boolean expression")
+        object.__setattr__(self, "_compiled", _compile(self.expr))
 
     def evaluate(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatch(
                 f"point has dimension {x.shape}, predicate expects {self.dimension}")
-        return bool(_eval(self.expr, x[None, :])[0])
+        with np.errstate(**_QUIET):
+            return bool(self._compiled(x[None, :])[0])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"batch has shape {X.shape}, predicate expects (m, {self.dimension})")
-        return _eval(self.expr, X)
+        with np.errstate(**_QUIET):
+            return self._compiled(X)
 
     @property
     def source(self) -> str:

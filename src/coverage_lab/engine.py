@@ -222,7 +222,7 @@ class _SampledSearch:
             except EvalError:  # some sample's label cannot be evaluated
                 self.last_violation = None
                 return False
-            if not np.all(inside):
+            if not inside.all():
                 self.last_violation = pts[int(np.flatnonzero(~inside)[0])]
                 return False
         return True

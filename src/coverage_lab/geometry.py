@@ -46,8 +46,10 @@ def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator,
     """
     n = center.shape[0]
     d = rng.standard_normal((m, n))
-    norms = np.linalg.norm(d, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
+    # the sum np.linalg.norm takes, without its wrapper
+    norms = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
+    if not norms.all():
+        norms[norms == 0.0] = 1.0
     d /= norms
     if surface:
         scale = radius * (1.0 - 1e-9)

@@ -112,6 +112,18 @@ def test_directory_paths_exit_2(capsys, spec_path_factory, tmp_path):
         assert "spec error" in err and str(tmp_path) in err
 
 
+def test_nonfinite_literal_exit_2(capsys, tmp_path):
+    spec = tmp_path / "inf.json"
+    spec.write_text(json.dumps({"dimension": 2, "labels": {
+        "A": {"analytic": "x2 - x1 < 1e999"},
+        "B": {"analytic": "x2 - x1 >= 1e999"}}}), encoding="utf-8")
+    out = tmp_path / "refined.json"
+    code, _, err = run_cli(capsys, "refine", "--classifier", str(spec), "--out", str(out))
+    assert code == 2
+    assert "numeric literal 1e999 is not finite (at byte 10)" in err
+    assert not out.exists()
+
+
 def test_coverage_bad_point_exit_2(capsys, spec_path_factory):
     spec = spec_path_factory("fig3.json")
     code, _, err = run_cli(capsys, "coverage", "--classifier", spec,
