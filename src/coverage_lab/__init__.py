@@ -20,8 +20,8 @@ from .geometry import (Ball, Certificate, Halfspace, HPolytope, Hyperplane,
                        ball_in_region, project_onto_polytope, shrink_polytope)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, PartitionReport,
                     UnionOfPolytopes, analytic, classifier_from_dict,
-                    classifier_to_dict, label_of, load_spec, save_spec,
-                    validate_partition)
+                    classifier_to_dict, label_of, labels_of, load_spec,
+                    save_spec, validate_partition)
 from .structure import (DirectionEstimate, GeneralizedLinearVerdict,
                         StructureVerdict, classify_structure,
                         estimate_asymptotic_direction, halfspace_certificate,
@@ -43,7 +43,7 @@ __all__ = [
     "default_tol", "estimate_asymptotic_direction", "export_field",
     "grid_points", "halfspace_certificate", "import_field",
     "is_generalized_binary_linear", "is_negligible_region", "label_of",
-    "load_builtin", "load_spec", "project_onto_polytope", "refine_boundary",
-    "run_criterion", "run_suite", "save_spec", "shrink_polytope",
-    "validate_partition",
+    "labels_of", "load_builtin", "load_spec", "project_onto_polytope",
+    "refine_boundary", "run_criterion", "run_suite", "save_spec",
+    "shrink_polytope", "validate_partition",
 ]

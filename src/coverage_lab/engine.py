@@ -210,7 +210,8 @@ class _SampledSearch:
         return self.spent >= self.budget
 
     def certify(self, c: np.ndarray, r: float) -> bool:
-        if r <= 0 or not float(np.linalg.norm(self.x - c)) < r:
+        d = self.x - c
+        if r <= 0 or not math.sqrt(float(d @ d)) < r:
             return False
         if self.exhausted():
             return False
@@ -234,7 +235,8 @@ class _SampledSearch:
 
     def max_radius_at(self, c: np.ndarray, r_hint: float) -> float:
         """Largest certified radius of a ball centered at c containing x."""
-        r = max(r_hint, 1.25 * float(np.linalg.norm(self.x - c)), self.tol)
+        d = self.x - c
+        r = max(r_hint, 1.25 * math.sqrt(float(d @ d)), self.tol)
         if not self.certify(c, r):
             return 0.0
         while r < self.cap and self.certify(c, 2 * r):

@@ -36,6 +36,18 @@ def _check_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _dot_rows(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """R @ X.T for rows R (k, n) and points X (m, n), summed term by term in
+    coordinate order. Each entry is then the same whatever the other points
+    of the batch, which BLAS does not promise, so that a point's label does
+    not depend on the points labelled with it."""
+    XT = X.T
+    out = R[:, :1] * XT[0]
+    for j in range(1, R.shape[1]):
+        out += R[:, j:j + 1] * XT[j]
+    return out
+
+
 def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator,
                    m: int, surface: bool = False) -> np.ndarray:
     """Uniform samples from an open ball, or from just inside its surface.
@@ -106,11 +118,10 @@ class Halfspace:
     def contains(self, x) -> bool:
         x = as_point(x)
         _check_dim(x, self.a)
-        v = float(self.a @ x)
-        return v <= self.b if self.closed else v < self.b
+        return bool(self.contains_many(x[None, :])[0])
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
-        v = X @ self.a
+        v = _dot_rows(self.a[None, :], X)[0]
         return v <= self.b if self.closed else v < self.b
 
 
@@ -191,10 +202,10 @@ class HPolytope:
     def contains(self, x) -> bool:
         x = as_point(x)
         _check_dim(x, self.A[0])
-        return bool((self._rows @ x < self._strict).all())
+        return bool(self.contains_many(x[None, :])[0])
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
-        return (self._rows @ X.T < self._strict[:, None]).all(axis=0)
+        return (_dot_rows(self._rows, X) < self._strict[:, None]).all(axis=0)
 
     def closure_contains(self, x, atol: float = 0.0) -> bool:
         return bool((self.A @ as_point(x) <= self.b + atol).all())
@@ -369,23 +380,38 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     return Certificate("unfalsified", samples=m, seed=seed)
 
 
-def halfspace_in_region(x, d, region) -> Certificate:
+def halfspace_in_region(x, d, region, slack: float = 0.0) -> Certificate:
     """Is the open halfspace H = {p : d.(p - x) > 0} (d unit) inside a
     convex region? Over H, u.p is bounded only when u = -d, and then its
     supremum -d.x is approached but never attained; so H lies inside
-    exactly when every unit row is -d and x meets it. A refutation's
-    witness lies in H and violates the first failing row.
+    exactly when every unit row is -d and x meets it.
+
+    A row counts as -d when |u + d| <= 1e-13, which only rounding reaches.
+    A caller whose d is itself an estimate may pass a slack in 1 + u.d:
+    rows within it count as -d too, and a halfspace that needs them is
+    only `unfalsified`. A refutation's witness lies in H and violates the
+    first failing row.
     """
     P = as_polytope(region)
     x, d = as_point(x), as_point(d)
-    ud, gap = P.A @ d, P.A @ x - P.b
-    anti = ud <= -1.0 + 1e-9
+    # 1 + u.d, taken as |u + d|^2 / 2 so that it stays accurate near -d
+    near = 0.5 * np.square(P.A + d).sum(axis=1)
+    exact = near <= 5e-27
+    anti = exact | (near <= slack)
+    gap = P.A @ x - P.b
     bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + float(np.linalg.norm(x)))))
     if not bad.size:
-        return PROVEN
+        return PROVEN if exact.all() else Certificate("unfalsified")
     i = int(bad[0])
     if anti[i]:  # x violates row i, and so does x + t d for t < gap
         return Certificate("refuted", witness=x + (0.5 * gap[i]) * d)
-    # along u + d both d.p and u.p grow at the rate 1 + u.d > 0
-    t = (1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + float(np.linalg.norm(x))) / (1.0 + ud[i])
-    return Certificate("refuted", witness=x + t * (P.A[i] + d))
+    # step k > 2|gap| along d into H, where u.p changes by k u.d; when
+    # u.d < 1/2, step on along w, u's part across d, until u.p has grown
+    # by 2k more while d.p stays
+    k = 1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + float(np.linalg.norm(x))
+    ud = float(P.A[i] @ d)
+    if ud >= 0.5:
+        return Certificate("refuted", witness=x + k * d)
+    w = P.A[i] - ud * d
+    w -= float(w @ d) * d  # the first pass leaves rounding along d
+    return Certificate("refuted", witness=x + k * d + (2.0 * k / float(w @ w)) * w)

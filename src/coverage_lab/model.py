@@ -31,9 +31,9 @@ import json
 import numpy as np
 
 from . import dsl
-from .errors import (AmbiguousLabel, DimensionMismatch, NoLabel, SchemaError,
-                     SpecParseError)
-from .geometry import Halfspace, HPolytope, as_point
+from .errors import (AmbiguousLabel, DimensionMismatch, EvalError, NoLabel,
+                     SchemaError, SpecParseError)
+from .geometry import Halfspace, HPolytope, _dot_rows, as_point
 
 REFINEMENT = "refinement"
 
@@ -42,6 +42,9 @@ DEFAULT_BOX_HALFWIDTH = 20.0
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class UnionOfPolytopes:
+    """Union of polytopes. Membership checks the rows of all of them at
+    once, each as its polytope would."""
+
     polytopes: tuple
 
     def __post_init__(self):
@@ -53,6 +56,13 @@ class UnionOfPolytopes:
             if p.dimension != n:
                 raise DimensionMismatch("inconsistent polytope dimensions in union")
         object.__setattr__(self, "polytopes", ps)
+        # every polytope's rows, padded to one count with rows 0.x < inf
+        k = max(len(p.b) for p in ps)
+        rows, strict = np.zeros((len(ps), k, n)), np.full((len(ps), k, 1), np.inf)
+        for i, p in enumerate(ps):
+            rows[i, :len(p.b)], strict[i, :len(p.b), 0] = p._rows, p._strict
+        object.__setattr__(self, "_rows", rows.reshape(-1, n))
+        object.__setattr__(self, "_strict", strict)
 
     @property
     def dimension(self) -> int:
@@ -62,10 +72,8 @@ class UnionOfPolytopes:
         return any(p.contains(x) for p in self.polytopes)
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape[0], dtype=bool)
-        for p in self.polytopes:
-            out |= p.contains_many(X)
-        return out
+        v = _dot_rows(self._rows, X).reshape(self._strict.shape[:2] + (X.shape[0],))
+        return (v < self._strict).all(axis=1).any(axis=0)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -145,6 +153,14 @@ class Classifier:
             yield REFINEMENT, self.refinement_set
 
 
+def _claims(C: Classifier, X: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Names of C's regions, refinement set last, and the (regions, rows)
+    mask of which of them claim each row of X: one contains_many per
+    region. Raises EvalError when some row's label cannot be evaluated."""
+    names, masks = zip(*((name, region.contains_many(X)) for name, region in C.regions()))
+    return names, np.array(masks)
+
+
 def label_of(C: Classifier, x) -> str:
     """Name of the unique region containing x; REFINEMENT when only the
     refinement set claims it. Raises AmbiguousLabel / NoLabel on malformed
@@ -153,12 +169,33 @@ def label_of(C: Classifier, x) -> str:
     if x.shape[0] != C.dimension:
         raise DimensionMismatch(
             f"point dimension {x.shape[0]} vs classifier dimension {C.dimension}")
-    claimers = [name for name, region in C.regions() if region.contains(x)]
+    names, masks = _claims(C, x[None, :])
+    claimers = [name for name, claims in zip(names, masks[:, 0]) if claims]
     if len(claimers) == 1:
         return claimers[0]
     if not claimers:
         raise NoLabel(x)
     raise AmbiguousLabel(x, claimers)
+
+
+def labels_of(C: Classifier, X: np.ndarray) -> list:
+    """label_of for each row of X (finite points), or None where it would
+    raise NoLabel, AmbiguousLabel or EvalError. The batch takes one
+    contains_many per region; a batch that cannot be evaluated is labelled
+    row by row, so that only the rows at fault get None."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != C.dimension:
+        raise DimensionMismatch(
+            f"points of shape {X.shape} vs classifier dimension {C.dimension}")
+    try:
+        names, masks = _claims(C, X)
+    except EvalError:
+        if X.shape[0] == 1:
+            return [None]
+        return [labels_of(C, X[i:i + 1])[0] for i in range(X.shape[0])]
+    unique = masks.sum(axis=0) == 1
+    return [names[j] if ok else None
+            for j, ok in zip(masks.argmax(axis=0).tolist(), unique.tolist())]
 
 
 def sample_box(box: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -178,19 +215,10 @@ def validate_partition(C: Classifier, budget: int, seed: int = 0,
     pts = sample_box(box, rng, budget)
     if C.probe_points:
         pts = np.vstack([pts, np.array(C.probe_points)])
-    counts = np.zeros(pts.shape[0], dtype=int)
-    masks = []
-    names = []
-    for name, region in C.regions():
-        mask = region.contains_many(pts)
-        counts += mask
-        masks.append(mask)
-        names.append(name)
-    bad = np.flatnonzero(counts != 1)
-    violations = []
-    for idx in bad[:max_recorded]:
-        claiming = tuple(names[j] for j, m in enumerate(masks) if m[idx])
-        violations.append((pts[idx], claiming))
+    names, masks = _claims(C, pts)
+    bad = np.flatnonzero(masks.sum(axis=0) != 1)
+    violations = [(pts[idx], tuple(name for name, claims in zip(names, masks[:, idx]) if claims))
+                  for idx in bad[:max_recorded]]
     return PartitionReport(samples=pts.shape[0], violations=tuple(violations),
                            violation_count=int(bad.size))
 

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import dsl
 from .engine import Anchor, CoverageResult, coverage_at, resolve_limits
-from .errors import (AmbiguousLabel, DegenerateSequence, EvalError, NoLabel,
-                     RefinementPoint, UnsupportedRegion)
+from .errors import (DegenerateSequence, EvalError, RefinementPoint,
+                     UnsupportedRegion)
 from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane, as_point,
                        halfspace_in_region)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
-                    label_of, sample_box)
+                    label_of, labels_of, sample_box)
 
 
 # --- verdict types ---------------------------------------------------------
@@ -260,12 +260,14 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
     return _halfspace_in(C, C.labels[name], x, d / float(np.linalg.norm(d)), budget, seed)
 
 
-def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certificate:
+def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int,
+                  slack: float = 0.0) -> Certificate:
     """The open halfspace {p : d.(p - x) > 0} (d unit) inside `region`,
-    which need not hold x. A sample whose label cannot be evaluated
+    which need not hold x: exact for convex labels, where `slack` is
+    halfspace_in_region's. A sample whose label cannot be evaluated
     refutes without a witness."""
     if isinstance(region, (Halfspace, HPolytope)):
-        return halfspace_in_region(x, d, region)
+        return halfspace_in_region(x, d, region, slack)
     rng = np.random.default_rng(seed)
     diam = C.diameter
     n_box = max(budget * 9 // 10, 1)
@@ -296,18 +298,14 @@ def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certif
 
 def _feature_space_probes(C: Classifier, count: int, rng) -> list:
     """(point, label) pairs for `count` feature-space points, skipping
-    refinement-set points."""
+    refinement-set points. Each drawn batch is labelled by one call."""
     probes = []
     attempts = 0
     while len(probes) < count and attempts < 50 * count + 1000:
         batch = sample_box(C.domain_box, rng, count)
-        for p in batch:
+        for p, name in zip(batch, labels_of(C, batch)):
             attempts += 1
-            try:
-                name = label_of(C, p)
-            except (NoLabel, AmbiguousLabel, EvalError):
-                continue
-            if name == REFINEMENT:
+            if name is None or name == REFINEMENT:
                 continue
             probes.append((p, name))
             if len(probes) == count:
@@ -315,29 +313,35 @@ def _feature_space_probes(C: Classifier, count: int, rng) -> list:
     return probes
 
 
-def _bisect_boundary(C: Classifier, pa, pb, la, lb):
-    """Boundary point on segment pa->pb whose endpoints carry labels la, lb.
-    Returns (point, None) or (point, other_label) when a third label shows up."""
-    lo, hi = 0.0, 1.0
-    seg = pb - pa
+def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
+    """Boundary points on the segments (pa, pb) whose endpoints carry labels
+    la and lb, bisected in lockstep: each step labels the midpoints of all
+    running segments with one labels_of call. A segment stops after 60
+    steps or once its interval is 1e-14 wide, at the midpoint, or at a
+    midpoint of another label. Returns a (point, other) pair per segment:
+    other is the third label met there, or None (the refinement set or no
+    label ends a segment too, with None)."""
+    pa = np.array([s[0] for s in segments])
+    seg = np.array([s[1] for s in segments]) - pa
+    lo, hi = np.zeros(len(segments)), np.ones(len(segments))
+    ends = [None] * len(segments)
+    running = np.arange(len(segments))
     for _ in range(60):
-        if hi - lo <= 1e-14:
+        running = running[hi[running] - lo[running] > 1e-14]
+        if not running.size:
             break
-        mid = 0.5 * (lo + hi)
-        p = pa + mid * seg
-        try:
-            name = label_of(C, p)
-        except (NoLabel, AmbiguousLabel, EvalError):
-            name = None
-        if name == la:
-            lo = mid
-        elif name == lb:
-            hi = mid
-        elif name == REFINEMENT or name is None:
-            return p, None
-        else:
-            return p, name
-    return pa + 0.5 * (lo + hi) * seg, None
+        mid = 0.5 * (lo[running] + hi[running])
+        pts = pa[running] + mid[:, None] * seg[running]
+        for i, m, p, name in zip(running, mid, pts, labels_of(C, pts)):
+            if name == la:
+                lo[i] = m
+            elif name == lb:
+                hi[i] = m
+            else:
+                ends[i] = (p, None if name in (REFINEMENT, None) else name)
+        running = np.array([i for i in running if ends[i] is None], dtype=int)
+    return [(pa[i] + 0.5 * (lo[i] + hi[i]) * seg[i], None) if end is None else end
+            for i, end in enumerate(ends)]
 
 
 def _fit_hyperplane(points: np.ndarray):
@@ -389,19 +393,15 @@ def classify_structure(C: Classifier, probe_count: int = 30,
     group_a = [p for p, n in probes if n == la]
     group_b = [p for p, n in probes if n == lb]
     want = max(C.dimension + 1, 8)
-    boundary_pts = []
-    for k in range(want):
-        pa = group_a[k % len(group_a)]
-        pb = group_b[k % len(group_b)]
-        pt, other = _bisect_boundary(C, pa, pb, la, lb)
+    ends = _bisect_boundaries(C, [(group_a[k % len(group_a)], group_b[k % len(group_b)])
+                                  for k in range(want)], la, lb)
+    for pt, other in ends:  # the first segment that meets a third label decides
         if other is not None:
-            res = coverage_at(C, pt, cap=cap, budget=budget, seed=seed, tol=tol) \
-                if other != REFINEMENT else None
+            res = coverage_at(C, pt, cap=cap, budget=budget, seed=seed, tol=tol)
             return StructureVerdict("not_refined_linear", cap=cap, witness=pt,
                                     coverage=res,
                                     reason=f"third label {other!r} on boundary segment")
-        boundary_pts.append(pt)
-    hyp, residual = _fit_hyperplane(np.array(boundary_pts))
+    hyp, residual = _fit_hyperplane(np.array([pt for pt, _ in ends]))
     fit_tol = 1e-6 * C.diameter
     if residual > fit_tol:
         return StructureVerdict("inconclusive", cap=cap,
@@ -459,6 +459,13 @@ def _sample_point_in(C: Classifier, region, rng, attempts: int = 200):
     return None
 
 
+# _label_boundary_hyperplane estimates its direction d from anchor centers,
+# so a convex label's boundary row is -d only up to this slack in 1 + u.d,
+# a tilt of up to about 4.5e-5 rad; its containment checks are then
+# `unfalsified`, not `proven`
+BOUNDARY_SLACK = 1e-9
+
+
 def _label_boundary_hyperplane(C: Classifier, name: str, rng,
                                cap: float, budget: int, tol: float):
     """Boundary of the maximal open halfspace inside the label, or None."""
@@ -475,7 +482,8 @@ def _label_boundary_hyperplane(C: Classifier, name: str, rng,
 
     def contained(offset: float) -> bool:
         base = x + (offset - float(d @ x)) * d
-        return _halfspace_in(C, region, base, d, budget, int(rng.integers(2**32))).ok
+        return _halfspace_in(C, region, base, d, budget, int(rng.integers(2**32)),
+                             BOUNDARY_SLACK).ok
 
     c0 = float(d @ x)
     if not contained(c0):

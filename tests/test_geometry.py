@@ -224,6 +224,42 @@ def test_halfspace_in_region_matches_brute_force():
     assert min(verdicts.values()) >= 100
 
 
+def test_halfspace_in_region_refutes_slightly_tilted_rows():
+    # H = {p : p2 > 0} escapes the row (-d + 4e-5 e1).p <= 0 far out along e1
+    d, x = np.array([0.0, 1.0]), np.zeros(2)
+    row = Halfspace([4e-5, -1.0], 0.0)
+    cert = halfspace_in_region(x, d, row)
+    assert cert.kind == "refuted"
+    w = cert.witness
+    assert float(d @ (w - x)) > 0 and not row.contains(w)
+    # a caller's slack in 1 + u.d accepts the row, but proves nothing
+    assert halfspace_in_region(x, d, row, slack=1e-9).kind == "unfalsified"
+    assert halfspace_in_region(x, d, row, slack=1e-10).kind == "refuted"
+    exact = Halfspace([0.0, -3.0], 0.0)
+    assert halfspace_in_region(x, d, exact).kind == "proven"
+    assert halfspace_in_region(x, d, exact, slack=1e-9).kind == "proven"
+    assert halfspace_in_region(x, d, HPolytope((exact, row)), slack=1e-9).kind == "unfalsified"
+
+
+def test_halfspace_in_region_tilt_witnesses_hold_in_floats():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        e = rng.standard_normal(n)
+        e -= (e @ d) * d
+        e /= np.linalg.norm(e)
+        tilt = 10 ** rng.uniform(-12, 0)
+        a = (-np.cos(tilt) * d + np.sin(tilt) * e) * 10 ** rng.uniform(-2, 2)
+        x = rng.standard_normal(n) * 10 ** rng.uniform(-1, 3)
+        row = Halfspace(a, float(a @ x) + rng.uniform(0.0, 1.0))
+        cert = halfspace_in_region(x, d, row)
+        assert cert.kind == "refuted", tilt
+        w = cert.witness
+        assert float(d @ (w - x)) > 0 and not row.contains(w), tilt
+
+
 def test_ball_in_region_sampled():
     P = unit_box(2)
     good = ball_in_region(Ball([0.5, 0.5], 0.4), P, ("sampled", 2000, 0))

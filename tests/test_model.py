@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from coverage_lab.data import BUILTIN_SPECS, load_builtin
-from coverage_lab.errors import (AmbiguousLabel, DimensionMismatch, NoLabel,
-                                 SchemaError, SpecParseError)
+from coverage_lab.errors import (AmbiguousLabel, DimensionMismatch, EvalError,
+                                 NoLabel, SchemaError, SpecParseError)
 from coverage_lab.geometry import Halfspace, HPolytope
 from coverage_lab.model import (REFINEMENT, AnalyticRegion, Classifier,
                                 UnionOfPolytopes, analytic,
                                 classifier_from_dict, classifier_to_dict,
-                                label_of, load_spec, save_spec,
-                                validate_partition)
+                                label_of, labels_of, load_spec, sample_box,
+                                save_spec, validate_partition)
+from coverage_lab.structure import refine_boundary
 
 
 def binary_linear() -> Classifier:
@@ -61,6 +62,24 @@ def test_union_of_polytopes_membership():
     assert np.array_equal(u.contains_many(pts), [True, False, True])
 
 
+def test_union_membership_is_each_polytope_s():
+    # polytopes with different row counts share one padded stack of rows
+    rng = np.random.default_rng(4)
+    polys = tuple(HPolytope(tuple(Halfspace(rng.standard_normal(3), rng.uniform(-1, 2),
+                                            bool(rng.integers(2)))
+                                  for _ in range(k)))
+                  for k in (1, 4, 2))
+    u = UnionOfPolytopes(polys)
+    X = rng.uniform(-3, 3, (500, 3))
+    want = np.zeros(500, dtype=bool)
+    for p in polys:
+        want |= p.contains_many(X)
+    assert 0 < want.sum() < 500
+    assert u.contains_many(X).tolist() == want.tolist()
+    assert [u.contains(x) for x in X[:20]] == want[:20].tolist()
+    assert u.contains_many(np.zeros((0, 3))).shape == (0,)
+
+
 def test_analytic_region():
     r = analytic("x1 * x1 + x2 * x2 < 1", 2)
     assert isinstance(r, AnalyticRegion)
@@ -101,6 +120,94 @@ def test_label_of_refinement_and_errors():
 def test_label_of_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         label_of(binary_linear(), [0.0, 0.0, 0.0])
+
+
+def _scalar_label(C, x):
+    """The former label_of: contains on each region in turn, None where
+    label_of raises NoLabel, AmbiguousLabel or EvalError."""
+    try:
+        claimers = [name for name, region in C.regions() if region.contains(x)]
+    except EvalError:
+        return None
+    return claimers[0] if len(claimers) == 1 else None
+
+
+def _label_or_none(C, x):
+    try:
+        return label_of(C, x)
+    except (NoLabel, AmbiguousLabel, EvalError):
+        return None
+
+
+def _boundary_points(C, rng, pairs=30):
+    """Points on or next to label boundaries: 400 integer points of the
+    domain box, and scalar bisection between differently labelled points."""
+    lo, hi = C.domain_box
+    axes = [np.arange(np.ceil(l), np.floor(h) + 1) for l, h in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, C.dimension)
+    grid = grid[rng.choice(grid.shape[0], min(grid.shape[0], 400), replace=False)]
+    found = []
+    pts = sample_box(C.domain_box, rng, 2 * pairs)
+    for pa, pb in zip(pts[:pairs], pts[pairs:]):
+        la, lb = _label_or_none(C, pa), _label_or_none(C, pb)
+        if la is None or lb is None or la == lb:
+            continue
+        t0, t1 = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (t0 + t1)
+            name = _label_or_none(C, pa + mid * (pb - pa))
+            if name != la and name != lb:
+                break
+            t0, t1 = (mid, t1) if name == la else (t0, mid)
+        found.append(pa + mid * (pb - pa))
+    return np.vstack([grid] + found) if found else grid
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_labels_of_matches_label_of_row_for_row(name):
+    rng = np.random.default_rng(11)
+    base = load_builtin(name)
+    for C in (base, refine_boundary(base)):
+        X = np.vstack([sample_box(C.domain_box, rng, 200), _boundary_points(C, rng)])
+        got = labels_of(C, X)
+        assert len(got) == X.shape[0]
+        assert got == [_label_or_none(C, x) for x in X]
+        assert got == [_scalar_label(C, x) for x in X]
+        # a batch answers each row as that row alone does
+        assert got[:7] == [labels_of(C, X[i:i + 1])[0] for i in range(7)]
+    if name == "refined_linear.json":
+        assert REFINEMENT in got
+
+
+def test_labels_of_rows_that_cannot_be_evaluated_get_none():
+    # exp(x1) overflows past x1 = 709.78, so neither label can be evaluated
+    C = Classifier(dimension=2, labels={"up": analytic("exp(x1) > 1", 2),
+                                        "down": analytic("exp(x1) <= 1", 2)},
+                   domain_box=np.array([[-5.0, -1.0], [900.0, 1.0]]))
+    X = np.vstack([sample_box(C.domain_box, np.random.default_rng(3), 300),
+                   [[0.0, 0.0], [709.0, 0.0], [710.0, 0.0]]])
+    with pytest.raises(EvalError):  # the batch as a whole falls back
+        C.labels["up"].contains_many(X)
+    got = labels_of(C, X)
+    assert got == [_label_or_none(C, x) for x in X]
+    assert got[-3:] == ["down", "up", None]
+    overflow = X[:, 0] > np.log(np.finfo(float).max)
+    assert overflow.any() and not overflow.all()
+    assert [g is None for g in got] == overflow.tolist()
+
+
+def test_labels_of_shape_checks_and_claims():
+    C = binary_linear()
+    assert labels_of(C, np.zeros((0, 2))) == []
+    with pytest.raises(DimensionMismatch):
+        labels_of(C, np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        labels_of(C, np.zeros(2))
+    overlapping = Classifier(dimension=2, labels={
+        "a": Halfspace([1.0, 0.0], 1.0),
+        "b": Halfspace([-1.0, 0.0], 1.0),
+    })
+    assert labels_of(overlapping, [[0.0, 0.0], [5.0, 0.0], [-5.0, 0.0]]) == [None, "b", "a"]
 
 
 # --- partition validation ---------------------------------------------------

@@ -7,12 +7,14 @@ import pytest
 
 from coverage_lab.data import load_builtin
 from coverage_lab.engine import Anchor, coverage_at
-from coverage_lab.errors import DegenerateSequence, RefinementPoint, UnsupportedRegion
+from coverage_lab.errors import (AmbiguousLabel, DegenerateSequence, EvalError,
+                                 NoLabel, RefinementPoint, UnsupportedRegion)
 from coverage_lab.geometry import (Ball, Halfspace, HPolytope, Hyperplane,
                                    ball_in_region)
 from coverage_lab.model import (REFINEMENT, Classifier, UnionOfPolytopes,
-                                analytic, label_of, sample_box)
-from coverage_lab.structure import (classify_structure,
+                                analytic, label_of, labels_of, sample_box)
+from coverage_lab.structure import (_bisect_boundaries, _feature_space_probes,
+                                    classify_structure,
                                     estimate_asymptotic_direction,
                                     halfspace_certificate,
                                     is_generalized_binary_linear,
@@ -246,6 +248,119 @@ def test_classify_not_refined_linear_many_labels():
     v = classify_structure(random_slab_classifier(rng, k=4), probe_count=12,
                            budget=20_000, seed=0)
     assert v.kind == "not_refined_linear"
+
+
+def _bisect_boundary(C, pa, pb, la, lb):
+    """Scalar reference for one segment of _bisect_boundaries: the former
+    sequential bisection, one label_of per step."""
+    lo, hi = 0.0, 1.0
+    seg = pb - pa
+    for _ in range(60):
+        if hi - lo <= 1e-14:
+            break
+        mid = 0.5 * (lo + hi)
+        p = pa + mid * seg
+        try:
+            name = label_of(C, p)
+        except (NoLabel, AmbiguousLabel, EvalError):
+            name = None
+        if name == la:
+            lo = mid
+        elif name == lb:
+            hi = mid
+        elif name == REFINEMENT or name is None:
+            return p, None
+        else:
+            return p, name
+    return pa + 0.5 * (lo + hi) * seg, None
+
+
+def _segments(C, rng, la, lb, count):
+    pts = sample_box(C.domain_box, rng, 1000)
+    names = labels_of(C, pts)
+    group_a = [p for p, n in zip(pts, names) if n == la][:count]
+    group_b = [p for p, n in zip(pts, names) if n == lb][:count]
+    return list(zip(group_a, group_b))
+
+
+def _assert_lockstep_matches_scalar(C, segments, la, lb):
+    got = _bisect_boundaries(C, segments, la, lb)
+    want = [_bisect_boundary(C, pa, pb, la, lb) for pa, pb in segments]
+    assert len(got) == len(want)
+    for (p, other), (q, other_ref) in zip(got, want):
+        assert p.tobytes() == q.tobytes() and other == other_ref
+    return got
+
+
+def test_lockstep_bisection_matches_scalar_reference():
+    rng = np.random.default_rng(5)
+    for i in range(24):
+        n = 2 + i % 4
+        a = rng.standard_normal(n)
+        b = float(rng.uniform(-3, 3))
+        plus, minus = Halfspace(-a, -b, False), Halfspace(a, b, True)
+        if i >= 12:  # polytope labels, each with a second row far away
+            plus, minus = (HPolytope((h, Halfspace(rng.standard_normal(n), 1e3)))
+                           for h in (plus, minus))
+        C = Classifier(dimension=n, labels={"plus": plus, "minus": minus})
+        ends = _assert_lockstep_matches_scalar(C, _segments(C, rng, "plus", "minus", 9),
+                                               "plus", "minus")
+        assert all(other is None for _, other in ends)
+    # fig1's four analytic labels: segments from E to F cross C or D
+    fig1 = load_builtin("fig1.json")
+    ends = _assert_lockstep_matches_scalar(fig1, _segments(fig1, rng, "E", "F", 16), "E", "F")
+    assert {"C", "D"} & {other for _, other in ends}
+
+
+def test_lockstep_bisection_third_label_on_a_slab():
+    # segments from low to high cross the slab, and every one ends on it
+    C = random_slab_classifier(np.random.default_rng(2), k=3)
+    segments = _segments(C, np.random.default_rng(8), "low", "high", 8)
+    ends = _assert_lockstep_matches_scalar(C, segments, "low", "high")
+    assert [other for _, other in ends] == ["slab0"] * len(segments)
+    # a segment inside one label runs on until it is 1e-14 wide
+    segments.insert(0, (segments[0][0], segments[0][0] + 1e-9))
+    ends = _assert_lockstep_matches_scalar(C, segments, "low", "high")
+    assert ends[0][1] is None and ends[1][1] == "slab0"
+
+
+def test_classify_thin_slab_names_the_first_segment_that_meets_it():
+    # probes miss the thin middle label, so bisection meets it, and the
+    # verdict's witness is the first segment's point, as one by one
+    u = np.array([0.6, 0.8])
+    C = Classifier(dimension=2, labels={
+        "L": Halfspace(u, -1e-3, False),
+        "M": HPolytope((Halfspace(-u, 1e-3, True), Halfspace(u, 1e-3, False))),
+        "R": Halfspace(-u, -1e-3, True)})
+    v = classify_structure(C, probe_count=12, budget=2_000, seed=4)
+    assert v.kind == "not_refined_linear"
+    assert v.reason == "third label 'M' on boundary segment"
+    probes = _feature_space_probes(C, 12, np.random.default_rng(4))
+    la, lb = dict.fromkeys(n for _, n in probes)
+    group_a = [p for p, n in probes if n == la]
+    group_b = [p for p, n in probes if n == lb]
+    p, other = _bisect_boundary(C, group_a[0], group_b[0], la, lb)
+    assert other == "M" and p.tobytes() == v.witness.tobytes()
+    assert v.coverage is not None and v.coverage.kind in ("zero", "bounded")
+
+
+def test_lockstep_bisection_stops_on_refinement_and_unlabelled_points():
+    base = Classifier(dimension=2, labels={"up": Halfspace([0.0, -1.0], 0.0, True),
+                                           "down": Halfspace([0.0, 1.0], 0.0, False)})
+    C = refine_boundary(base)
+    gappy = Classifier(dimension=2, labels={"up": Halfspace([0.0, -1.0], 0.5, False),
+                                            "down": Halfspace([0.0, 1.0], -0.5, False)})
+    segments = [(np.array([0.0, 1.0]), np.array([0.0, -1.0])),  # first midpoint on x2 = 0
+                (np.array([-3.0, 4.0]), np.array([1.0, -12.0])),  # second midpoint on it
+                (np.array([2.0, 1.7]), np.array([0.5, -3.0]))]
+    for clf in (C, gappy):
+        ends = _assert_lockstep_matches_scalar(clf, segments, "up", "down")
+        assert all(other is None for _, other in ends)
+    ends = _bisect_boundaries(C, segments, "up", "down")
+    assert ends[0][0].tolist() == [0.0, 0.0] and ends[1][0].tolist() == [-2.0, 0.0]
+    assert label_of(C, ends[0][0]) == REFINEMENT
+    # x2 = -0.5 has no label in gappy: the first segment stops there
+    assert _bisect_boundaries(gappy, segments, "up", "down")[0][0].tolist() == [0.0, -0.5]
 
 
 def test_classify_recovers_random_hyperplanes():
