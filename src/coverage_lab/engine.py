@@ -18,11 +18,11 @@ import math
 
 import numpy as np
 
-from .errors import (EmptyPolytope, EmptyRegion, EvalError, NoLabel,
-                     PointNotInAnyLabel, PointNotInRegion, RefinementPoint)
+from .errors import (EmptyPolytope, EmptyRegion, NoLabel, PointNotInAnyLabel,
+                     PointNotInRegion, RefinementPoint)
 from .geometry import (Ball, Certificate, Halfspace, HPolytope, as_point,
                        as_polytope, ball_in_region, project_onto_polytope,
-                       sample_in_ball, shrink_polytope)
+                       sample_in_ball, sampled_inside, shrink_polytope)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
                     label_of)
 
@@ -118,7 +118,7 @@ def _feasible_center(x: np.ndarray, P: HPolytope, r: float, tol: float):
     except EmptyPolytope as exc:
         w = exc.farkas
         return None, (r if w is None else min(r, float(P.b @ w) / float(w.sum())))
-    if d < r - 1e-12 * (1.0 + r + float(np.linalg.norm(x))):
+    if d < r - 1e-12 * (1.0 + r + math.sqrt(float(x @ x))):
         return z, r
     return None, r
 
@@ -216,17 +216,11 @@ class _SampledSearch:
         if self.exhausted():
             return False
         self.spent += 2 * self.m
-        for surface in (True, False):
-            pts = sample_in_ball(c, r, self.rng, self.m, surface=surface)
-            try:
-                inside = self.region.contains_many(pts)
-            except EvalError:  # some sample's label cannot be evaluated
-                self.last_violation = None
-                return False
-            if not inside.all():
-                self.last_violation = pts[int(np.flatnonzero(~inside)[0])]
-                return False
-        return True
+        # the interior batch is drawn only once the surface batch passes
+        ok, self.last_violation = sampled_inside(self.region, (
+            sample_in_ball(c, r, self.rng, self.m, surface=surface)
+            for surface in (True, False)))
+        return ok
 
     def note(self, c: np.ndarray, r: float) -> None:
         if r > self.best_r:
@@ -447,9 +441,6 @@ def coverage_sampled(C: Classifier, x, cap: float | None = None,
 
 def _fully_sampled(C: Classifier, x, name: str, cap: float, budget: int,
                    seed: int, tol: float) -> CoverageResult:
-    if budget <= 0:
-        return CoverageResult("zero", "lower_bound",
-                              detail={"note": "no certification attempted", "budget": 0})
     search = _SampledSearch(C.labels[name], x, name, cap, budget, seed, tol, C.diameter)
     return _sampled_result(search, seed)
 

@@ -66,6 +66,16 @@ def _resolve_points(C: Classifier, points) -> np.ndarray:
     return pts
 
 
+# why a point is skipped, by the query error that skips it
+_SKIP_REASONS = {RefinementPoint: "refinement point",
+                 PointNotInAnyLabel: "outside all labels",
+                 EvalError: "label not evaluable"}
+
+
+def _skip_reason(exc: Exception) -> str:
+    return next(r for kind, r in _SKIP_REASONS.items() if isinstance(exc, kind))
+
+
 def compute_field(C: Classifier, points, cap: float | None = None,
                   budget: int = 20_000, seed: int = 0,
                   tol: float | None = None) -> CoverageField:
@@ -81,12 +91,8 @@ def compute_field(C: Classifier, points, cap: float | None = None,
             results.append(coverage_at(C, p, cap=cap, budget=budget,
                                        seed=seed * 1_000_003 + i, tol=tol))
             kept.append(p)
-        except RefinementPoint:
-            skipped.append((p, "refinement point"))
-        except PointNotInAnyLabel:
-            skipped.append((p, "outside all labels"))
-        except EvalError:
-            skipped.append((p, "label not evaluable"))
+        except tuple(_SKIP_REASONS) as exc:
+            skipped.append((p, _skip_reason(exc)))
     return CoverageField(points=tuple(kept), results=tuple(results),
                          cap=cap, skipped=tuple(skipped))
 
@@ -116,11 +122,8 @@ def compare_at(C1: Classifier, C2: Classifier, points, cap: float | None = None,
         try:
             r1 = coverage_at(C1, p, cap=cap, budget=budget, seed=seed * 1_000_003 + i, tol=tol)
             r2 = coverage_at(C2, p, cap=cap, budget=budget, seed=seed * 1_000_003 + i, tol=tol)
-        except (RefinementPoint, PointNotInAnyLabel) as exc:
-            skipped.append((p, str(exc)))
-            continue
-        except EvalError:
-            skipped.append((p, "label not evaluable"))
+        except tuple(_SKIP_REASONS) as exc:
+            skipped.append((p, _skip_reason(exc)))
             continue
         entries.append((p, r1, r2, compare_results(r1, r2, tol=cmp_tol)))
     return ComparisonReport(entries=tuple(entries), skipped=tuple(skipped), cap=cap)

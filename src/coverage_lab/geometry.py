@@ -15,6 +15,7 @@ are in raw feature units.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -90,7 +91,8 @@ class Ball:
     def contains(self, x) -> bool:
         x = as_point(x)
         _check_dim(x, self.center)
-        return float(np.linalg.norm(x - self.center)) < self.radius
+        v = x - self.center
+        return math.sqrt(float(v @ v)) < self.radius
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -290,12 +292,13 @@ def least_distance(A: np.ndarray, h: np.ndarray):
     f = np.zeros(n + 1)
     f[n] = 1.0
     w = _nnls(E, f)
-    if h @ w < -0.5 * s and np.linalg.norm(A.T @ w) <= 1e-12 * (1.0 + w.sum()):
+    v = A.T @ w
+    if h @ w < -0.5 * s and math.sqrt(float(v @ v)) <= 1e-12 * (1.0 + w.sum()):
         return None, w
     res = E @ w - f
     if res[n] != 0.0:
         u = (-s / res[n]) * res[:n]
-        if np.all(A @ u <= h + 1e-9 * (s + float(np.linalg.norm(u)))):
+        if np.all(A @ u <= h + 1e-9 * (s + math.sqrt(float(u @ u)))):
             return u, None
     return None, None
 
@@ -340,6 +343,22 @@ class Certificate:
 PROVEN = Certificate("proven")
 
 
+def sampled_inside(region, batches) -> tuple:
+    """(True, None) when every point of every batch lies in `region`, else
+    (False, the first point outside), or (False, None) when some point's
+    label cannot be evaluated. Batches are taken in order and a lazy
+    iterable is drawn no further than the first failing batch; an empty
+    batch passes."""
+    for pts in batches:
+        try:
+            inside = region.contains_many(pts)
+        except EvalError:
+            return False, None
+        if not inside.all():
+            return False, pts[int(np.flatnonzero(~inside)[0])]
+    return True, None
+
+
 def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     """Certify B inside `region`.
 
@@ -353,7 +372,7 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     if method == "exact":
         P = as_polytope(region)
         c, r = B.center, B.radius
-        slack = 1e-9 * (1.0 + np.abs(P.b) + r + float(np.linalg.norm(c)))
+        slack = 1e-9 * (1.0 + np.abs(P.b) + r + math.sqrt(float(c @ c)))
         bad = np.flatnonzero(P.A @ c > P.b - r + slack)
         if bad.size:
             # witness just inside the ball, in the violated direction
@@ -365,50 +384,39 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     m_int = m // 2
-    m_surf = m - m_int
-    for pts in (sample_in_ball(B.center, B.radius, rng, m_int),
-                sample_in_ball(B.center, B.radius, rng, m_surf, surface=True)):
-        if pts.shape[0] == 0:
-            continue
-        try:
-            inside = region.contains_many(pts)
-        except EvalError:  # some sample's label cannot be evaluated
-            return Certificate("refuted", samples=m, seed=seed)
-        if not np.all(inside):
-            idx = int(np.flatnonzero(~inside)[0])
-            return Certificate("refuted", witness=pts[idx], samples=m, seed=seed)
-    return Certificate("unfalsified", samples=m, seed=seed)
+    ok, witness = sampled_inside(region, (
+        sample_in_ball(B.center, B.radius, rng, m_int),
+        sample_in_ball(B.center, B.radius, rng, m - m_int, surface=True)))
+    return Certificate("unfalsified" if ok else "refuted", witness=witness,
+                       samples=m, seed=seed)
 
 
-def halfspace_in_region(x, d, region, slack: float = 0.0) -> Certificate:
+def halfspace_in_region(x, d, region) -> Certificate:
     """Is the open halfspace H = {p : d.(p - x) > 0} (d unit) inside a
     convex region? Over H, u.p is bounded only when u = -d, and then its
     supremum -d.x is approached but never attained; so H lies inside
     exactly when every unit row is -d and x meets it.
 
     A row counts as -d when |u + d| <= 1e-13, which only rounding reaches.
-    A caller whose d is itself an estimate may pass a slack in 1 + u.d:
-    rows within it count as -d too, and a halfspace that needs them is
-    only `unfalsified`. A refutation's witness lies in H and violates the
-    first failing row.
+    The answer is proven or refuted; a refutation's witness lies in H and
+    violates the first failing row.
     """
     P = as_polytope(region)
     x, d = as_point(x), as_point(d)
     # 1 + u.d, taken as |u + d|^2 / 2 so that it stays accurate near -d
-    near = 0.5 * np.square(P.A + d).sum(axis=1)
-    exact = near <= 5e-27
-    anti = exact | (near <= slack)
+    anti = 0.5 * np.square(P.A + d).sum(axis=1) <= 5e-27
     gap = P.A @ x - P.b
-    bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + float(np.linalg.norm(x)))))
+    xn = math.sqrt(float(x @ x))
+    bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + xn)))
     if not bad.size:
-        return PROVEN if exact.all() else Certificate("unfalsified")
+        return PROVEN
     i = int(bad[0])
     if anti[i]:  # x violates row i, and so does x + t d for t < gap
         return Certificate("refuted", witness=x + (0.5 * gap[i]) * d)
     # step k > 2|gap| along d into H, where u.p changes by k u.d; when
     # u.d < 1/2, step on along w, u's part across d, until u.p has grown
     # by 2k more while d.p stays
-    k = 1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + float(np.linalg.norm(x))
+    k = 1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + xn
     ud = float(P.A[i] @ d)
     if ud >= 0.5:
         return Certificate("refuted", witness=x + k * d)

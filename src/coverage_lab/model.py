@@ -26,6 +26,7 @@ Region encodings:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -142,7 +143,7 @@ class Classifier:
     def ordinary(self) -> bool:
         return self.refinement_set is None
 
-    @property
+    @functools.cached_property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.domain_box[1] - self.domain_box[0]))
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from . import dsl
 from .engine import Anchor, CoverageResult, coverage_at, resolve_limits
-from .errors import (DegenerateSequence, EvalError, RefinementPoint,
-                     UnsupportedRegion)
+from .errors import DegenerateSequence, RefinementPoint, UnsupportedRegion
 from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane, as_point,
-                       halfspace_in_region)
+                       as_polytope, halfspace_in_region, sampled_inside)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
                     label_of, labels_of, sample_box)
 
@@ -198,8 +197,6 @@ def refine_boundary(C: Classifier) -> Classifier:
 
 
 def _refine_analytic(C: Classifier) -> Classifier:
-    from .model import analytic  # late import to avoid cycle at module load
-
     new_labels = {}
     boundary_terms = []
     for name, region in C.labels.items():
@@ -260,14 +257,12 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
     return _halfspace_in(C, C.labels[name], x, d / float(np.linalg.norm(d)), budget, seed)
 
 
-def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int,
-                  slack: float = 0.0) -> Certificate:
+def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certificate:
     """The open halfspace {p : d.(p - x) > 0} (d unit) inside `region`,
-    which need not hold x: exact for convex labels, where `slack` is
-    halfspace_in_region's. A sample whose label cannot be evaluated
-    refutes without a witness."""
+    which need not hold x: exact for convex labels. A sample whose label
+    cannot be evaluated refutes without a witness."""
     if isinstance(region, (Halfspace, HPolytope)):
-        return halfspace_in_region(x, d, region, slack)
+        return halfspace_in_region(x, d, region)
     rng = np.random.default_rng(seed)
     diam = C.diameter
     n_box = max(budget * 9 // 10, 1)
@@ -280,18 +275,9 @@ def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int,
     sign = np.sign(u @ d)
     sign[sign == 0] = 1.0
     far = x + (10.0 * diam) * (u * sign[:, None])
-    for batch in (pts, far):
-        if batch.shape[0] == 0:
-            continue
-        try:
-            inside = region.contains_many(batch)
-        except EvalError:
-            return Certificate("refuted", samples=budget, seed=seed)
-        if not np.all(inside):
-            idx = int(np.flatnonzero(~inside)[0])
-            return Certificate("refuted", witness=batch[idx],
-                               samples=budget, seed=seed)
-    return Certificate("unfalsified", samples=budget, seed=seed)
+    ok, witness = sampled_inside(region, (pts, far))
+    return Certificate("unfalsified" if ok else "refuted", witness=witness,
+                       samples=budget, seed=seed)
 
 
 # --- structure classification ----------------------------------------------
@@ -459,19 +445,21 @@ def _sample_point_in(C: Classifier, region, rng, attempts: int = 200):
     return None
 
 
-# _label_boundary_hyperplane estimates its direction d from anchor centers,
-# so a convex label's boundary row is -d only up to this slack in 1 + u.d,
-# a tilt of up to about 4.5e-5 rad; its containment checks are then
-# `unfalsified`, not `proven`
-BOUNDARY_SLACK = 1e-9
-
-
 def _label_boundary_hyperplane(C: Classifier, name: str, rng,
                                cap: float, budget: int, tol: float):
-    """Boundary of the maximal open halfspace inside the label, or None."""
+    """Boundary of the maximal open halfspace inside the label, or None.
+
+    A convex label holds an open halfspace exactly when all its unit rows
+    are one u, and then the halfspace is u.p < its lowest offset; the
+    check reads that from the rows. Other labels estimate the direction
+    from anchor centers and bisect the offset on sampled checks."""
     region = C.labels[name]
-    if isinstance(region, Halfspace):
-        return Hyperplane(region.a, region.b)
+    if isinstance(region, (Halfspace, HPolytope)):
+        P = as_polytope(region)
+        i = int(np.argmin(P.b))
+        if halfspace_in_region(P.b[i] * P.A[i], -P.A[i], P).ok:
+            return Hyperplane(P.A[i], P.b[i])
+        return None
     x = _sample_point_in(C, region, rng)
     if x is None:
         return None
@@ -482,8 +470,7 @@ def _label_boundary_hyperplane(C: Classifier, name: str, rng,
 
     def contained(offset: float) -> bool:
         base = x + (offset - float(d @ x)) * d
-        return _halfspace_in(C, region, base, d, budget, int(rng.integers(2**32)),
-                             BOUNDARY_SLACK).ok
+        return _halfspace_in(C, region, base, d, budget, int(rng.integers(2**32))).ok
 
     c0 = float(d @ x)
     if not contained(c0):

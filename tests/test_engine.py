@@ -313,6 +313,7 @@ def test_sampled_budget_zero_is_lower_bound_zero():
     C = load_builtin("fig1.json")
     res = coverage_sampled(C, [3.0, 0.5], budget=0, seed=0)
     assert res.kind == "zero" and res.method == "lower_bound"
+    assert res.detail["samples_spent"] == 0
 
 
 def test_sampled_refinement_point_raises():

@@ -164,7 +164,8 @@ def test_compare_skips_refinement_points():
     rep = compare_at(C1, C2, np.array([[2.0, 0.0], [0.0, 5.0]]),
                      cap=100.0, budget=5_000, seed=0)
     assert len(rep.entries) == 1
-    assert len(rep.skipped) == 1
+    (point, reason), = rep.skipped
+    assert np.array_equal(point, [2.0, 0.0]) and reason == "refinement point"
 
 
 def test_compare_dimension_mismatch():

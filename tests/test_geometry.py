@@ -13,7 +13,9 @@ from coverage_lab.errors import DimensionMismatch, EmptyPolytope, ExactUnsupport
 from coverage_lab.geometry import (Ball, Halfspace, HPolytope, Hyperplane,
                                    as_polytope, ball_in_region,
                                    halfspace_in_region, project_onto_polytope,
-                                   sample_in_ball, shrink_polytope)
+                                   sample_in_ball, sampled_inside,
+                                   shrink_polytope)
+from coverage_lab.model import analytic
 
 
 def unit_box(n: int, closed: bool = True) -> HPolytope:
@@ -232,13 +234,8 @@ def test_halfspace_in_region_refutes_slightly_tilted_rows():
     assert cert.kind == "refuted"
     w = cert.witness
     assert float(d @ (w - x)) > 0 and not row.contains(w)
-    # a caller's slack in 1 + u.d accepts the row, but proves nothing
-    assert halfspace_in_region(x, d, row, slack=1e-9).kind == "unfalsified"
-    assert halfspace_in_region(x, d, row, slack=1e-10).kind == "refuted"
     exact = Halfspace([0.0, -3.0], 0.0)
     assert halfspace_in_region(x, d, exact).kind == "proven"
-    assert halfspace_in_region(x, d, exact, slack=1e-9).kind == "proven"
-    assert halfspace_in_region(x, d, HPolytope((exact, row)), slack=1e-9).kind == "unfalsified"
 
 
 def test_halfspace_in_region_tilt_witnesses_hold_in_floats():
@@ -268,6 +265,39 @@ def test_ball_in_region_sampled():
     bad = ball_in_region(Ball([0.9, 0.5], 0.5), P, ("sampled", 2000, 0))
     assert bad.kind == "refuted"
     assert not P.contains(bad.witness)
+
+
+def test_sampled_inside_stops_drawing_at_the_first_failing_batch():
+    P = unit_box(2)
+    drawn = []
+
+    def batches():
+        for pts in ([[0.5, 0.5], [0.2, 0.7]], [[0.5, 0.5], [1.5, 0.5], [2.0, 0.5]],
+                    [[0.5, 0.5]]):
+            drawn.append(pts)
+            yield np.array(pts)
+
+    ok, witness = sampled_inside(P, batches())
+    assert not ok and np.array_equal(witness, [1.5, 0.5])
+    assert len(drawn) == 2  # the third batch is never drawn
+    ok, witness = sampled_inside(P, (np.array([[0.5, 0.5]]), np.array([[0.1, 0.9]])))
+    assert ok and witness is None
+
+
+def test_sampled_inside_unevaluable_label_fails_without_witness():
+    # exp(x1) overflows at x1 = 800, so the label cannot say whether it holds
+    region = analytic("exp(x1) > 1", 2)
+    assert sampled_inside(region, (np.array([[3.0, 0.0]]),)) == (True, None)
+    assert sampled_inside(region, (np.array([[3.0, 0.0], [800.0, 0.0]]),)) == (False, None)
+
+
+def test_sampled_inside_empty_batch_passes():
+    P = unit_box(2)
+    empty = np.empty((0, 2))
+    assert sampled_inside(P, (empty,)) == (True, None)
+    assert sampled_inside(P, ()) == (True, None)
+    ok, witness = sampled_inside(P, (empty, np.array([[3.0, 0.5]])))
+    assert not ok and np.array_equal(witness, [3.0, 0.5])
 
 
 # --- projection -------------------------------------------------------------

@@ -423,6 +423,44 @@ def test_generalized_binary_linear_rejects_offset_ray():
     assert not is_generalized_binary_linear(C_bad, seed=0).is_generalized_binary_linear
 
 
+def test_generalized_binary_linear_rejects_a_thin_wedge():
+    # {x2 > 0, x2 > 4e-5 x1} holds no open halfspace: its rows differ, and
+    # any halfspace {x2 > c} leaves the tilted row far out along x1
+    wedge = HPolytope((Halfspace([0.0, -1.0], 0.0, False),
+                       Halfspace([4e-5, -1.0], 0.0, False)))
+    C = Classifier(dimension=2, labels={"P": wedge, "N": Halfspace([0.0, 1.0], 0.0)})
+    v = is_generalized_binary_linear(C, seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "label 'P' admits no open-halfspace certificate"
+
+
+def test_generalized_binary_linear_reads_redundant_parallel_rows_exactly():
+    # x2 > 1 and x2 >= 3 together are x2 >= 3: the boundary is the lowest row
+    P = HPolytope((Halfspace([0.0, -1.0], -1.0, False), Halfspace([0.0, -1.0], -3.0)))
+    C = Classifier(dimension=2, labels={"P": P, "N": Halfspace([0.0, 1.0], 3.0, False)})
+    v = is_generalized_binary_linear(C, seed=0)
+    assert v.is_generalized_binary_linear
+    u, c = v.hyperplane.unit()
+    assert np.array_equal(u, [0.0, 1.0]) and c == 3.0
+
+
+def test_generalized_binary_linear_one_row_polytopes_match_halfspaces():
+    rng = np.random.default_rng(4)
+    pairs = [tuple(load_builtin("linear.json").labels.values())]
+    for n in (2, 3, 5):
+        a, b = rng.standard_normal(n), float(rng.normal())
+        pairs.append((Halfspace(a, b), Halfspace(-a, -b, False)))
+    for up, down in pairs:
+        found = []
+        for pos, neg in ((up, down), (HPolytope((up,)), HPolytope((down,)))):
+            C = Classifier(dimension=up.dimension, labels={"pos": pos, "neg": neg})
+            v = is_generalized_binary_linear(C, seed=0)
+            assert v.is_generalized_binary_linear
+            found.append(v.hyperplane.unit())
+        (u1, c1), (u2, c2) = found
+        assert np.array_equal(u1, u2) and c1 == c2
+
+
 def test_generalized_binary_linear_needs_ordinary_classifier():
     with pytest.raises(ValueError):
         is_generalized_binary_linear(load_builtin("refined_linear.json"), seed=0)
