@@ -181,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anchor-based explanation coverage for partition classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, classifier=True):
-        if classifier:
-            p.add_argument("--classifier", required=True,
-                           help="path to a classifier spec (JSON)")
+    def common(p, limits=True):
+        p.add_argument("--classifier", required=True,
+                       help="path to a classifier spec (JSON)")
+        if not limits:
+            return
         p.add_argument("--cap", type=float, default=None,
                        help="radius cap standing in for infinity")
         p.add_argument("--budget", type=int, default=20_000,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("refine", help="move label boundaries to a refinement set")
-    common(p)
+    common(p, limits=False)
     p.add_argument("--out", help="write the refined spec as JSON")
     p.set_defaults(func=cmd_refine)
 

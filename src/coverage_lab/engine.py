@@ -2,13 +2,17 @@
 
 Exact route (convex labels): bisection on the anchor radius r, where r is
 feasible iff some center c with ||x - c|| < r lies in the inner parallel
-body of the label shrunk by r. Unbounded growth is reported as ExceedsCap
-with a certified witness sequence of increasing radii, all nested in the
-ball found at the cap, with centers on the ray from x to its center.
+body of the label shrunk by r.
 
 Sampled route (union / analytic labels): multi-start center search with
 per-candidate certification by uniform interior and near-surface samples;
 results are lower bounds, never claims of exactness.
+
+Both routes report growth through the cap as ExceedsCap with a witness
+sequence of radii cap/4, cap/2 and one at or above the cap, each certified
+and all nested in the ball found at the cap (exact: the ball the cap probe
+finds; sampled: the incumbent of the search), with centers on the ray from
+x to its center.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def compare_results(r1: CoverageResult, r2: CoverageResult, tol: float = 0.0) ->
 
 # --- exact convex route ----------------------------------------------------
 
-def _feasible_center(x: np.ndarray, P: HPolytope, r: float, tol: float):
+def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
     """(center, r) of a radius-r ball inscribed in P that contains x
     strictly, else (None, bound): no radius above bound <= r is feasible.
 
@@ -114,7 +118,7 @@ def _feasible_center(x: np.ndarray, P: HPolytope, r: float, tol: float):
     empty body's Farkas vector w proves it empty at every r' > b.w / sum(w).
     """
     try:
-        z, d = project_onto_polytope(x, shrink_polytope(P, r), tol)
+        z, d = project_onto_polytope(x, shrink_polytope(P, r))
     except EmptyPolytope as exc:
         w = exc.farkas
         return None, (r if w is None else min(r, float(P.b @ w) / float(w.sum())))
@@ -150,7 +154,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         # boundary points of closed regions are members; anything else is out
         if not P.closure_contains(x, atol=1e-12):
             try:
-                project_onto_polytope(x, P, tol)
+                project_onto_polytope(x, P)
             except EmptyPolytope:
                 raise EmptyRegion("region is empty")
             raise PointNotInRegion(f"query point {list(x)} is not in the region")
@@ -160,7 +164,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         return CoverageResult("zero", "exact")
 
     cap_probe = cap * (1 + 1e-9) + 4 * tol
-    z, hi = _feasible_center(x, P, cap_probe, tol)
+    z, hi = _feasible_center(x, P, cap_probe)
     if z is not None:
         # balls nested in B(z, cap_probe) that still hold x
         witnesses = tuple(_anchor(x, shrink_toward(x, z, r, cap_probe), r, P, label)
@@ -172,7 +176,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     hi = max(lo, hi)
     while hi - lo > 0.5 * tol:
         mid = 0.5 * (lo + hi)
-        z, bound = _feasible_center(x, P, mid, tol)
+        z, bound = _feasible_center(x, P, mid)
         if z is not None:
             lo, center = mid, z
         else:
@@ -255,9 +259,9 @@ class _SampledSearch:
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         return d
 
-    def run(self):
-        """Returns ('exceeds', direction, alpha) or ('bounded',) after
-        filling best_r/best_c."""
+    def run(self) -> None:
+        """Fill the incumbent best_r/best_c, stopping once it reaches the
+        cap."""
         x = self.x
         # phase 1: grow centered at the query point
         r0 = max(self.scale * 1e-3, 4 * self.tol)
@@ -265,10 +269,10 @@ class _SampledSearch:
         while r > self.tol and not self.certify(x, r):
             r /= 8
         if r <= self.tol:
-            return ("bounded",)
+            return
         base = self.max_radius_at(x, r)
         if base >= self.cap:
-            return ("exceeds", None, None)
+            return
 
         # phase 2: directional growth with doubling radii; when certification
         # fails, the violating sample points at the blocking boundary, and
@@ -277,9 +281,8 @@ class _SampledSearch:
         phase2_budget = (self.budget * 3) // 5
         alpha = 0.5 * base
         for d in self.directions(6):
-            out = self._grow_adaptive(d, base, alpha, phase2_budget)
-            if out is not None:
-                return ("exceeds", out, alpha)
+            if self._grow_adaptive(d, base, alpha, phase2_budget):
+                return
             if self.spent >= phase2_budget:
                 break
 
@@ -287,20 +290,13 @@ class _SampledSearch:
         # at a time, nudging the center away from whichever boundary the
         # violating samples reveal (single boundary: slide off it; two
         # boundaries: move along their bisector)
-        if self._inflate_push():
-            d = self.best_c - x
-            nd = float(np.linalg.norm(d))
-            if nd > 0:
-                alpha = max(0.5 * (self.best_r - nd), 4 * self.tol)
-                return ("exceeds", d / nd, alpha)
-        return ("bounded",)
+        self._inflate_push()
 
     def _grow_adaptive(self, d: np.ndarray, base: float, alpha: float,
-                       spend_limit: int):
+                       spend_limit: int) -> bool:
         """March centers x + t*d with radius t + alpha, doubling t. On a
         failed certification, bend d away from the violating sample and back
-        off t. Returns the final direction when the cap is reached, else
-        None."""
+        off t. Returns whether the cap was reached."""
         x = self.x
         t = base
         best_t = 0.0
@@ -312,36 +308,34 @@ class _SampledSearch:
                 self.note(c, rr)
                 best_t = max(best_t, t)
                 if rr >= self.cap:
-                    return d
+                    return True
                 t *= 2
                 continue
             if self.last_violation is None or updates >= 25:
-                return None
+                return False
             q = self.last_violation - c
             qn = float(np.linalg.norm(q))
             if qn == 0.0:
-                return None
+                return False
             d_new = d - 0.6 * (q / qn)
             d_new /= float(np.linalg.norm(d_new))
             if best_t > 0 and t <= base and float(d_new @ d) > 1.0 - 1e-12:
-                return None  # no direction progress and no radius progress
+                return False  # no direction progress and no radius progress
             d = d_new
             t = max(t / 2, base)
             updates += 1
-        return None
+        return False
 
-    def _inflate_push(self) -> bool:
+    def _inflate_push(self) -> None:
         """Local improvement of the incumbent ball: repeatedly grow the
-        radius by a small factor, escaping the boundaries that block growth
-        by moving the center away from violating samples. Returns True when
-        the growth ran through the cap."""
+        radius by a small factor, up to the cap, escaping the boundaries
+        that block growth by moving the center away from violating
+        samples."""
         if self.best_c is None:
-            return False
+            return
         c, r = self.best_c, self.best_r
         gamma = 0.05
-        while not self.exhausted() and gamma > 1e-4:
-            if r >= self.cap:
-                return True
+        while r < self.cap and not self.exhausted() and gamma > 1e-4:
             r_try = min(r * (1 + gamma), self.cap * (1 + 1e-9) + 4 * self.tol)
             if self.certify(c, r_try):
                 r = r_try
@@ -374,7 +368,6 @@ class _SampledSearch:
                         self.note(c, r)
                         continue
             gamma *= 0.5
-        return r >= self.cap
 
     def witness_at(self, c: np.ndarray, r: float) -> Anchor:
         cert_seed = int(self.rng.integers(0, 2**32))
@@ -382,14 +375,16 @@ class _SampledSearch:
         return Anchor(Ball(c, r), self.x, self.label, cert)
 
 
-def resolve_limits(C: Classifier, cap: float | None,
-                   tol: float | None) -> tuple[float, float]:
+def resolve_limits(C: Classifier, cap: float | None, tol: float | None,
+                   budget: int) -> tuple[float, float]:
     """The (cap, tol) of a query on C, defaults filled in. ValueError unless
-    0 < tol < cap."""
+    0 < tol < cap and budget >= 0."""
     cap = default_cap(C) if cap is None else float(cap)
     tol = default_tol(C) if tol is None else float(tol)
     if not 0 < tol < cap:
         raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     return cap, tol
 
 
@@ -407,34 +402,35 @@ def _resolve_query(C: Classifier, x):
 
 def _sampled_result(search: _SampledSearch, seed: int,
                     floor: CoverageResult | None = None) -> CoverageResult:
-    """Run the search and build its lower-bound result. A union's exact
-    per-component `floor` stands unless the search beats it."""
-    outcome = search.run()
+    """Run the search and build its lower-bound result: ExceedsCap once the
+    incumbent reaches the cap, with witnesses nested in it as on the exact
+    route. A union's exact per-component `floor` stands unless the search
+    beats it."""
+    search.run()
     detail = {"m": search.m, "seed": seed, "samples_spent": search.spent}
     if floor is not None:
         detail["component_floor"] = floor.radius if floor.kind == "bounded" else None
-    if outcome[0] == "exceeds":
-        _, d, alpha = outcome
-        witnesses = _sampled_cap_witnesses(search, d, alpha)
-        if witnesses is not None:
-            return CoverageResult("exceeds_cap", "lower_bound", cap=search.cap,
-                                  witness=witnesses[-1], witnesses=witnesses,
-                                  detail=detail)
-        # growth reached the cap but re-certification failed; fall through
-    if floor is not None and floor.kind == "bounded" and floor.radius >= search.best_r:
+    c, r = search.best_c, search.best_r
+    if r >= search.cap:
+        # balls nested in the certified B(c, r) that still hold x
+        witnesses = tuple(search.witness_at(shrink_toward(search.x, c, w, r), w)
+                          for w in (search.cap / 4, search.cap / 2, r))
+        return CoverageResult("exceeds_cap", "lower_bound", cap=search.cap,
+                              witness=witnesses[-1], witnesses=witnesses,
+                              detail=detail)
+    if floor is not None and floor.kind == "bounded" and floor.radius >= r:
         return dataclasses.replace(floor, method="lower_bound", detail=detail)
-    if search.best_r <= 0:
+    if r <= 0:
         return CoverageResult("zero", "lower_bound", detail=detail)
-    witness = search.witness_at(search.best_c, search.best_r)
-    return CoverageResult("bounded", "lower_bound", radius=search.best_r,
-                          witness=witness, detail=detail)
+    return CoverageResult("bounded", "lower_bound", radius=r,
+                          witness=search.witness_at(c, r), detail=detail)
 
 
 def coverage_sampled(C: Classifier, x, cap: float | None = None,
                      budget: int = 100_000, seed: int = 0,
                      tol: float | None = None) -> CoverageResult:
     """Sampled lower-bound coverage at x, for any label kind."""
-    cap, tol = resolve_limits(C, cap, tol)
+    cap, tol = resolve_limits(C, cap, tol, budget)
     x, name = _resolve_query(C, x)
     return _fully_sampled(C, x, name, cap, budget, seed, tol)
 
@@ -445,30 +441,13 @@ def _fully_sampled(C: Classifier, x, name: str, cap: float, budget: int,
     return _sampled_result(search, seed)
 
 
-def _sampled_cap_witnesses(search: _SampledSearch, d, alpha):
-    """Increasing witness sequence at radii ~cap/4, cap/2, cap along the
-    growth direction."""
-    if d is None:  # cap reached with the query point itself as center
-        d = search.directions(1)[0]
-        alpha = max(search.best_r / 2, 4 * search.tol)
-    cap = search.cap
-    witnesses = []
-    for r in (cap / 4, cap / 2, cap * (1 + 1e-9)):
-        t = r - alpha
-        c = search.x + t * d
-        if not search.certify(c, r):
-            return None
-        witnesses.append(search.witness_at(c, r))
-    return tuple(witnesses)
-
-
 def coverage_at(C: Classifier, x, cap: float | None = None,
                 budget: int = 100_000, seed: int = 0,
                 tol: float | None = None) -> CoverageResult:
     """Coverage of C at x: exact for convex labels, certified lower bound
     for unions (per-component exact floor plus straddle search) and
     analytic labels (fully sampled)."""
-    cap, tol = resolve_limits(C, cap, tol)
+    cap, tol = resolve_limits(C, cap, tol, budget)
     x, name = _resolve_query(C, x)
     region = C.labels[name]
 

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .engine import (Anchor, CoverageResult, compare_results, coverage_at,
-                     default_cap, default_tol, resolve_limits)
+                     default_cap, resolve_limits)
 from .errors import EvalError, IoError, PointNotInAnyLabel, RefinementPoint
 from .geometry import Ball, Certificate, as_point
 from .model import Classifier
@@ -84,7 +84,7 @@ def compute_field(C: Classifier, points, cap: float | None = None,
     `seed * 1_000_003 + i`. Refinement-set points, points outside every
     label and points whose own label cannot be evaluated are skipped and
     recorded, not errors."""
-    cap, tol = resolve_limits(C, cap, tol)
+    cap, tol = resolve_limits(C, cap, tol, budget)
     kept, results, skipped = [], [], []
     for i, p in enumerate(_resolve_points(C, points)):
         try:
@@ -114,8 +114,9 @@ def compare_at(C1: Classifier, C2: Classifier, points, cap: float | None = None,
     both classifiers are measured on the same raw feature scale."""
     if C1.dimension != C2.dimension:
         raise ValueError("classifiers must share a dimension")
-    cap = max(default_cap(C1), default_cap(C2)) if cap is None else float(cap)
-    cmp_tol = default_tol(C1) if tol is None else float(tol)
+    if cap is None:
+        cap = max(default_cap(C1), default_cap(C2))
+    cap, cmp_tol = resolve_limits(C1, cap, tol, budget)
     pts = np.asarray(points, dtype=float)
     entries, skipped = [], []
     for i, p in enumerate(pts):

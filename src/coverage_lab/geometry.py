@@ -303,16 +303,14 @@ def least_distance(A: np.ndarray, h: np.ndarray):
     return None, None
 
 
-def project_onto_polytope(x, P: HPolytope, tol: float):
+def project_onto_polytope(x, P: HPolytope):
     """Nearest point of closure(P) to x and its distance, exact up to
-    rounding (tol is only checked). Raises EmptyPolytope, with its Farkas
-    vector, when the set is empty, and without one when the system is too
-    degenerate for either answer to check out.
+    rounding. Raises EmptyPolytope, with its Farkas vector, when the set is
+    empty, and without one when the system is too degenerate for either
+    answer to check out.
     """
     x = as_point(x)
     _check_dim(x, P.A[0])
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     u, w = least_distance(P.A, P.b - P.A @ x)
     if u is None:
         raise EmptyPolytope("constraint set is empty" if w is not None else
@@ -364,7 +362,7 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
 
     method='exact' supports Halfspace and HPolytope only and returns
     proven/refuted: A c <= b - r on the unit rows, up to a float-relative
-    slack. method=('sampled', m, seed) draws m uniform interior
+    slack. method=('sampled', m, seed) draws m >= 1 uniform interior
     points (half of them just inside the surface) and refutes on the first
     point outside the region, or when some point's label cannot be
     evaluated; else it returns unfalsified.
@@ -382,6 +380,8 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     kind, m, seed = method
     if kind != "sampled":
         raise ValueError(f"unknown method {method!r}")
+    if m < 1:
+        raise ValueError(f"a sampled check needs at least one sample, got {m}")
     rng = np.random.default_rng(seed)
     m_int = m // 2
     ok, witness = sampled_inside(region, (

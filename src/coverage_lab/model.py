@@ -10,7 +10,7 @@ Spec file format (JSON):
     {
       "dimension": 2,
       "domain_box": [[-20, -20], [20, 20]],          # optional, rows = lows, highs
-      "labels": {"M": <region>, ...},
+      "labels": {"M": <region>, ...},                # "refinement" is reserved
       "refinement_set": <region>,                    # optional
       "probe_points": [[0, 0], ...]                  # optional
     }
@@ -121,6 +121,8 @@ class Classifier:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("classifier needs at least one label")
+        if REFINEMENT in self.labels:
+            raise ValueError(f"label name {REFINEMENT!r} is reserved for the refinement set")
         for name, region in self.labels.items():
             if region.dimension != self.dimension:
                 raise DimensionMismatch(

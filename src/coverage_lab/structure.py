@@ -75,10 +75,10 @@ def _hyperplane_piece(a: np.ndarray, b: float, extra=()) -> HPolytope:
     return HPolytope(eq + tuple(Halfspace(h.a, h.b, True) for h in extra))
 
 
-def _forced_hyperplane(p: HPolytope, atol: float = 1e-9):
+def _forced_hyperplane(p: HPolytope):
     """The hyperplane {a.x = b} that an anti-parallel constraint pair with
     zero gap forces on p (the pair's first constraint), or None."""
-    gap = np.abs(p.b[:, None] + p.b[None, :]) <= atol
+    gap = np.abs(p.b[:, None] + p.b[None, :]) <= 1e-9
     pairs = np.argwhere(np.triu((p.A @ p.A.T < -1.0 + 1e-12) & gap, k=1))
     if not pairs.size:
         return None
@@ -86,11 +86,12 @@ def _forced_hyperplane(p: HPolytope, atol: float = 1e-9):
     return Hyperplane(p.A[i], p.b[i])
 
 
-def _piece_signature(p: HPolytope):
-    """Canonical signature of a hyperplane-shaped piece (no side constraints),
-    or None if the piece is not a bare hyperplane."""
-    forced = _forced_hyperplane(p) if len(p.b) == 2 else None
-    return None if forced is None else forced.unit()
+def _piece_key(p: HPolytope) -> tuple:
+    """Canonical key of a boundary piece: its (unit row, offset, closed)
+    triples, rounded and sorted, so that one piece written with its rows in
+    any order or scale has one key."""
+    return tuple(sorted(zip(map(tuple, np.round(p.A, 9).tolist()),
+                            np.round(p.b, 9).tolist(), p.closed.tolist())))
 
 
 def _strictify_expr(e):
@@ -136,8 +137,9 @@ def refine_boundary(C: Classifier) -> Classifier:
     and collect the former boundary pieces into the refinement set.
 
     label_of agrees with the input everywhere off the new refinement set.
-    Feeding an already-refined classifier whose refinement set equals the
-    label boundaries returns it unchanged.
+    Pieces are deduped on a canonical key of their rows, so refining an
+    already-refined classifier whose refinement set holds the label
+    boundaries returns it unchanged, the same object.
     """
     analytic_labels = [isinstance(r, AnalyticRegion) for r in C.labels.values()]
     if any(analytic_labels):
@@ -171,22 +173,20 @@ def refine_boundary(C: Classifier) -> Classifier:
         else:
             raise UnsupportedRegion("existing refinement set must be polytopal")
 
-    # dedupe bare-hyperplane pieces against each other and the existing set
-    def dedupe(seq, seen):
+    # dedupe pieces against each other and the existing set
+    seen = set()
+
+    def dedupe(seq):
         out = []
         for p in seq:
-            sig = _piece_signature(p)
-            if sig is not None:
-                key = (tuple(np.round(sig[0], 9)), round(sig[1], 9))
-                if key in seen:
-                    continue
+            key = _piece_key(p)
+            if key not in seen:
                 seen.add(key)
-            out.append(p)
+                out.append(p)
         return out
 
-    seen = set()
-    kept_existing = dedupe(existing, seen)
-    new_pieces = dedupe(pieces, seen)
+    kept_existing = dedupe(existing)
+    new_pieces = dedupe(pieces)
     if existing and not new_pieces:
         return C  # refinement set already covers every boundary piece
     all_pieces = tuple(kept_existing + new_pieces)
@@ -210,6 +210,11 @@ def _refine_analytic(C: Classifier) -> Classifier:
     for term in boundary_terms[1:]:
         combined = dsl.BoolOp("or", combined, term)
     refinement = AnalyticRegion(dsl.Predicate(combined, C.dimension))
+    if (isinstance(C.refinement_set, AnalyticRegion)
+            and C.refinement_set.predicate == refinement.predicate
+            and all(new_labels[name].predicate == region.predicate
+                    for name, region in C.labels.items())):
+        return C  # already refined
     return Classifier(dimension=C.dimension, labels=new_labels,
                       refinement_set=refinement, domain_box=C.domain_box,
                       probe_points=C.probe_points)
@@ -259,10 +264,13 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
 
 def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certificate:
     """The open halfspace {p : d.(p - x) > 0} (d unit) inside `region`,
-    which need not hold x: exact for convex labels. A sample whose label
-    cannot be evaluated refutes without a witness."""
+    which need not hold x: exact for convex labels, else sampled with
+    budget >= 1 points. A sample whose label cannot be evaluated refutes
+    without a witness."""
     if isinstance(region, (Halfspace, HPolytope)):
         return halfspace_in_region(x, d, region)
+    if budget < 1:
+        raise ValueError(f"a sampled check needs at least one sample, got {budget}")
     rng = np.random.default_rng(seed)
     diam = C.diameter
     n_box = max(budget * 9 // 10, 1)
@@ -347,7 +355,7 @@ def classify_structure(C: Classifier, probe_count: int = 30,
     """Empirical refined-linear test: probe coverage everywhere, then (if
     every probe exceeds the cap with exactly two labels) recover the
     separating hyperplane from bisection-located boundary points."""
-    cap, tol = resolve_limits(C, cap, tol)
+    cap, tol = resolve_limits(C, cap, tol, budget)
     rng = np.random.default_rng(seed)
     probes = _feature_space_probes(C, probe_count, rng)
     if not probes:
@@ -510,7 +518,7 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
     negligible labels lie inside that shared hyperplane."""
     if not C.ordinary:
         raise ValueError("generalized-binary-linear test expects an ordinary classifier")
-    cap, tol = resolve_limits(C, cap, tol)
+    cap, tol = resolve_limits(C, cap, tol, budget)
     rng = np.random.default_rng(seed)
 
     negligible, full = [], []

@@ -76,6 +76,17 @@ def test_coverage_command_exceeds_cap(capsys, spec_path_factory):
     assert int(pairs["witness_count"]) >= 3
 
 
+def test_coverage_command_sampled_certificate(capsys, spec_path_factory):
+    spec = spec_path_factory("fig1.json")
+    code, out, _ = run_cli(capsys, "coverage", "--classifier", spec,
+                           "--point=9,60", "--budget", "5000")
+    assert code == 0
+    pairs = kv(out)
+    assert pairs["method"] == "lower_bound" and pairs["certificate"] == "unfalsified"
+    assert int(pairs["certificate_samples"]) > 0
+    assert int(pairs["certificate_seed"]) >= 0
+
+
 def test_coverage_refinement_point_exit_3(capsys, spec_path_factory):
     spec = spec_path_factory("refined_linear.json")
     code, out, err = run_cli(capsys, "coverage", "--classifier", spec,
@@ -141,6 +152,26 @@ def test_coverage_tol_not_below_cap_exit_2(capsys, spec_path_factory, limits):
     assert "0 < tol < cap" in err
 
 
+def test_coverage_negative_budget_exit_2(capsys, spec_path_factory):
+    spec = spec_path_factory("fig1.json")
+    code, out, err = run_cli(capsys, "coverage", "--classifier", spec,
+                             "--point=9,60", "--budget", "-5")
+    assert code == 2 and not out
+    assert "budget >= 0" in err
+
+
+def test_reserved_label_name_exit_2(capsys, tmp_path):
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps({"dimension": 2, "labels": {
+        "refinement": {"analytic": "x2 < 0"}, "B": {"analytic": "x2 >= 0"}}}),
+        encoding="utf-8")
+    for argv in (("structure", "--classifier", str(path)),
+                 ("coverage", "--classifier", str(path), "--point=0,-3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert "reserved" in err
+
+
 # --- field ------------------------------------------------------------------
 
 def test_field_command_writes_csv(capsys, spec_path_factory, tmp_path):
@@ -203,6 +234,15 @@ def test_refine_then_structure_pipeline(capsys, spec_path_factory, tmp_path):
     pairs = kv(out)
     assert pairs["kind"] == "refined_linear"
     assert "hyperplane" in pairs
+
+
+def test_refine_takes_no_query_limits(capsys, spec_path_factory):
+    spec = spec_path_factory("linear.json")
+    for flag in ("--cap", "--budget", "--seed", "--tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--classifier", spec, flag, "1"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_structure_verdict_json_out(capsys, spec_path_factory, tmp_path):

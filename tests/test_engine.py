@@ -346,6 +346,37 @@ def test_sampled_halfspace_label_exceeds_cap():
         assert a.ball.contains([0.0, 1.0])
 
 
+def test_sampled_growth_through_the_cap_at_the_query_point_exceeds_cap():
+    # the ball centered at (9, 60) itself grows through cap 20
+    res = coverage_at(load_builtin("fig1.json"), [9.0, 60.0], cap=20.0)
+    assert res.kind == "exceeds_cap" and res.method == "lower_bound"
+
+
+def test_sampled_growth_through_the_cap_off_the_query_point_exceeds_cap():
+    C = Classifier(dimension=2, labels={
+        "near": analytic("x1 < 1000000", 2),
+        "far": analytic("x1 >= 1000000", 2),
+    })
+    res = coverage_at(C, [0.0, 0.0], cap=100.0, budget=20_000, seed=0)
+    assert res.kind == "exceeds_cap" and res.method == "lower_bound"
+
+
+def test_sampled_cap_witnesses_nest_in_the_incumbent():
+    C = load_builtin("fig1.json")
+    F = compute_field(C, (10, 10), cap=20.0)
+    assert not [r.radius for r in F.results if r.kind == "bounded" and r.radius >= 20.0]
+    at_cap = [(p, r) for p, r in zip(F.points, F.results) if r.kind == "exceeds_cap"]
+    assert at_cap
+    for p, res in at_cap:
+        first, second, last = res.witnesses
+        assert (first.ball.radius, second.ball.radius) == (5.0, 10.0)
+        assert last.ball.radius >= 20.0 and res.witness is last
+        for a in res.witnesses:
+            assert a.ball.contains(p) and a.certificate.samples > 0
+            gap = float(np.linalg.norm(a.ball.center - last.ball.center))
+            assert gap + a.ball.radius <= last.ball.radius * (1 + 1e-12)
+
+
 def test_sampled_disk_reaches_true_supremum():
     # open disk of radius 5: the region itself is the best anchor at any
     # interior point, so the true coverage is exactly 5
@@ -432,6 +463,23 @@ def test_certify_anchor_sampled_on_curved_region():
     cert = certify_anchor(C, b, m=10_000, seed=0)
     assert cert.kind == "refuted"
     assert not C.labels["E"].contains(cert.witness)
+
+
+def test_sampled_checks_need_a_sample():
+    C = load_builtin("fig1.json")
+    crossing = Ball([0.5, 0.5], 0.6)
+    a = Anchor(crossing, [0.5, 0.8], "E",
+               ball_in_region(crossing, C.labels["E"], ("sampled", 100, 0)))
+    assert certify_anchor(C, a, m=20_000, seed=0).kind == "refuted"
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            certify_anchor(C, a, m=m, seed=0)
+
+
+def test_negative_budget_raises():
+    for spec, point in (("fig1.json", [9.0, 60.0]), ("fig3.json", [5.0, 0.0])):
+        with pytest.raises(ValueError, match="budget"):
+            coverage_at(load_builtin(spec), point, budget=-5)
 
 
 def test_certify_anchor_unknown_label():

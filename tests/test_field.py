@@ -168,6 +168,13 @@ def test_compare_skips_refinement_points():
     assert np.array_equal(point, [2.0, 0.0]) and reason == "refinement point"
 
 
+@pytest.mark.parametrize("limits", [{"budget": -1}, {"cap": 1.0, "tol": 2.0}])
+def test_compare_checks_its_limits_before_any_point(limits):
+    C = load_builtin("fig1.json")
+    with pytest.raises(ValueError):
+        compare_at(C, C, np.zeros((0, 2)), **limits)
+
+
 def test_compare_dimension_mismatch():
     C1 = load_builtin("linear.json")
     C2 = Classifier(dimension=3, labels={"a": analytic("true", 3)})
@@ -210,6 +217,23 @@ def test_structured_round_trip(tmp_path):
             assert f_res.witness.ball.radius == g_res.witness.ball.radius
     # dict form is stable under a second round trip
     assert field_to_dict(G) == field_to_dict(field_from_dict(field_to_dict(G)))
+
+
+def test_structured_round_trip_of_cap_witnesses(tmp_path):
+    F = compute_field(load_builtin("linear.json"), (2, 2), seed=0)
+    assert [r.kind for r in F.results] == ["exceeds_cap"] * 4
+    path = tmp_path / "field.json"
+    export_field(F, path, format="structured")
+    G = import_field(path)
+    for f_res, g_res in zip(F.results, G.results):
+        assert g_res.kind == "exceeds_cap" and g_res.cap == f_res.cap
+        assert len(g_res.witnesses) == len(f_res.witnesses) == 3
+        for a, b in zip(f_res.witnesses, g_res.witnesses):
+            assert np.array_equal(a.ball.center, b.ball.center)
+            assert a.ball.radius == b.ball.radius
+            assert np.array_equal(a.anchored_point, b.anchored_point)
+            assert a.label == b.label and a.certificate.kind == b.certificate.kind
+        assert np.array_equal(g_res.witness.ball.center, f_res.witness.ball.center)
 
 
 def test_unknown_export_format(tmp_path):

@@ -305,21 +305,21 @@ def test_sampled_inside_empty_batch_passes():
 def test_projection_inside_is_identity():
     P = unit_box(3)
     x = np.array([0.25, 0.5, 0.75])
-    z, d = project_onto_polytope(x, P, 1e-9)
+    z, d = project_onto_polytope(x, P)
     assert np.allclose(z, x) and d < 1e-9
 
 
 def test_projection_onto_box_clips_coordinates():
     P = unit_box(3)
     x = np.array([2.0, -1.0, 0.5])
-    z, d = project_onto_polytope(x, P, 1e-9)
+    z, d = project_onto_polytope(x, P)
     assert np.allclose(z, [1.0, 0.0, 0.5], atol=1e-8)
     assert abs(d - np.sqrt(2.0)) < 1e-8
 
 
 def test_projection_onto_corner():
     P = unit_box(2)
-    z, d = project_onto_polytope(np.array([3.0, 3.0]), P, 1e-9)
+    z, d = project_onto_polytope(np.array([3.0, 3.0]), P)
     assert np.allclose(z, [1.0, 1.0], atol=1e-8)
     assert abs(d - np.sqrt(8.0)) < 1e-8
 
@@ -327,7 +327,7 @@ def test_projection_onto_corner():
 def test_projection_empty_polytope_raises():
     empty = HPolytope((Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)))
     with pytest.raises(EmptyPolytope):
-        project_onto_polytope(np.array([0.5, 0.5]), empty, 1e-9)
+        project_onto_polytope(np.array([0.5, 0.5]), empty)
 
 
 def test_projection_matches_halfspace_formula_randomly():
@@ -338,7 +338,7 @@ def test_projection_matches_halfspace_formula_randomly():
         b = float(rng.uniform(-2, 2))
         P = HPolytope((Halfspace(a, b),))
         x = rng.uniform(-3, 3, n)
-        z, d = project_onto_polytope(x, P, 1e-9)
+        z, d = project_onto_polytope(x, P)
         expected = max(0.0, (float(a @ x) - b) / np.linalg.norm(a))
         assert abs(d - expected) < 1e-8
         assert P.closure_contains(z, atol=1e-8)
@@ -357,7 +357,7 @@ def test_projection_distance_is_minimal_among_samples():
         P = HPolytope(tuple(hs))
         x = rng.uniform(-6, 6, 2)
         try:
-            z, d = project_onto_polytope(x, P, 1e-9)
+            z, d = project_onto_polytope(x, P)
         except EmptyPolytope:
             continue
         pts = rng.uniform(-3, 3, (4000, 2))
@@ -413,7 +413,7 @@ def test_least_distance_matches_brute_force_on_random_systems():
         x = rng.standard_normal(n)
         reference = _kkt_projection_distance(P.A, P.b - P.A @ x)
         try:
-            z, d = project_onto_polytope(x, P, 1e-9)
+            z, d = project_onto_polytope(x, P)
         except EmptyPolytope as exc:
             verdicts["empty"] += 1
             assert reference is None
@@ -450,11 +450,11 @@ def test_empty_check_in_high_dimension_is_fast_and_proved(n, m):
     empty = shrink_polytope(P, 3.0 * (1 + 1e-6))
     t0 = time.perf_counter()
     with pytest.raises(EmptyPolytope) as info:
-        project_onto_polytope(x, empty, 1e-9)
+        project_onto_polytope(x, empty)
     assert time.perf_counter() - t0 < 0.1
     _check_farkas(empty, x, info.value.farkas)
     # just inside the inradius the body is the near-point around the origin
-    z, d = project_onto_polytope(x, shrink_polytope(P, 3.0 * (1 - 1e-6)), 1e-9)
+    z, d = project_onto_polytope(x, shrink_polytope(P, 3.0 * (1 - 1e-6)))
     assert np.linalg.norm(z) < 1e-4
     assert abs(d - np.linalg.norm(x)) < 1e-4
 

@@ -31,6 +31,12 @@ def test_classifier_requires_labels():
         Classifier(dimension=2, labels={})
 
 
+def test_classifier_reserves_the_refinement_label_name():
+    with pytest.raises(ValueError, match="reserved"):
+        Classifier(dimension=2, labels={REFINEMENT: analytic("x2 < 0", 2),
+                                        "B": analytic("x2 >= 0", 2)})
+
+
 def test_classifier_dimension_checks():
     with pytest.raises(DimensionMismatch):
         Classifier(dimension=3, labels={"a": Halfspace([1.0, 0.0], 0.0)})

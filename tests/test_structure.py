@@ -19,7 +19,12 @@ from coverage_lab.structure import (_bisect_boundaries, _feature_space_probes,
                                     halfspace_certificate,
                                     is_generalized_binary_linear,
                                     is_negligible_region, refine_boundary)
-from coverage_lab.verify import growth_anchor_sequence, random_slab_classifier
+from coverage_lab.verify import (growth_anchor_sequence,
+                                 random_quadrant_classifier,
+                                 random_slab_classifier)
+
+SHIPPED = ("fig1.json", "fig3.json", "linear.json", "refined_linear.json",
+           "generalized_linear.json", "trivial.json")
 
 
 def _angle(u, v) -> float:
@@ -52,6 +57,21 @@ def test_refine_is_idempotent_on_refined_spec():
     C = load_builtin("refined_linear.json")
     R = refine_boundary(C)
     assert R is C  # refinement set already covers every boundary piece
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_refine_of_a_refinement_is_the_same_object(name):
+    R = refine_boundary(load_builtin(name))
+    assert refine_boundary(R) is R
+
+
+def test_refine_keeps_one_copy_of_each_boundary_piece():
+    # neighbouring labels share their boundary pieces
+    def pieces(C):
+        return refine_boundary(C).refinement_set.polytopes
+    assert len(pieces(random_quadrant_classifier(np.random.default_rng(0)))) == 4
+    assert len(pieces(load_builtin("generalized_linear.json"))) == 6
+    assert len(pieces(load_builtin("fig3.json"))) == 24
 
 
 def test_refine_refinement_set_is_negligible():
@@ -209,6 +229,13 @@ def test_halfspace_certificate_unevaluable_sample_refutes():
     cert = halfspace_certificate(C, [0.0, 5.0], [0.0, 1.0], budget=2000)
     assert cert.kind == "refuted" and cert.witness is None
     assert cert.samples == 2000 and cert.seed == 0
+
+
+def test_sampled_halfspace_certificate_needs_a_sample():
+    C = load_builtin("fig1.json")
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            halfspace_certificate(C, [9.0, 60.0], [0.0, 1.0], budget=budget)
 
 
 def test_halfspace_certificate_refinement_point_raises():
@@ -459,6 +486,21 @@ def test_generalized_binary_linear_one_row_polytopes_match_halfspaces():
             found.append(v.hyperplane.unit())
         (u1, c1), (u2, c2) = found
         assert np.array_equal(u1, u2) and c1 == c2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generalized_binary_linear_estimates_a_union_label_s_halfspace(seed):
+    # P = {x2 > 0} u {-1 < x2 <= 0} is a union: its boundary direction is
+    # estimated from anchor centers and its offset bisected on samples
+    P = UnionOfPolytopes((HPolytope((Halfspace([0.0, -1.0], 0.0, False),)),
+                          HPolytope((Halfspace([0.0, -1.0], 1.0, False),
+                                     Halfspace([0.0, 1.0], 0.0)))))
+    C = Classifier(dimension=2, labels={"P": P, "Q": Halfspace([0.0, 1.0], -1.0)})
+    v = is_generalized_binary_linear(C, seed=seed)
+    assert v.is_generalized_binary_linear
+    u, c = v.hyperplane.unit()
+    assert float(np.linalg.norm(u - [0.0, 1.0])) <= 1e-3
+    assert abs(c + 1.0) <= 0.01
 
 
 def test_generalized_binary_linear_needs_ordinary_classifier():
