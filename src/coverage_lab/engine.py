@@ -9,10 +9,12 @@ per-candidate certification by uniform interior and near-surface samples;
 results are lower bounds, never claims of exactness.
 
 Both routes report growth through the cap as ExceedsCap with a witness
-sequence of radii cap/4, cap/2 and one at or above the cap, each certified
-and all nested in the ball found at the cap (exact: the ball the cap probe
-finds; sampled: the incumbent of the search), with centers on the ray from
-x to its center.
+sequence of radii cap/4, cap/2 and one at or above the cap, all nested in
+the ball found at the cap (exact: the ball the cap probe finds; sampled:
+the incumbent of the search), with centers on the ray from x to its center.
+Each witness carries its certificate: proven on the exact route; on the
+sampled route the verdict of 2*m fresh samples, recorded as it comes out,
+so it can read refuted although the incumbent passed the search's check.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def default_tol(C: Classifier) -> float:
 
 @dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Anchor:
-    """An open ball certified to contain `anchored_point` and to lie inside
-    the region of `label`."""
+    """An open ball holding `anchored_point`, with its certificate of lying
+    inside the region of `label`."""
 
     ball: Ball
     anchored_point: np.ndarray

@@ -474,7 +474,10 @@ def _label_boundary_hyperplane(C: Classifier, name: str, rng,
     res = coverage_at(C, x, cap=cap, budget=budget, seed=int(rng.integers(2**32)), tol=tol)
     if res.kind != "exceeds_cap" or len(res.witnesses) < 3:
         return None
-    d = estimate_asymptotic_direction(res.witnesses, x).direction
+    try:
+        d = estimate_asymptotic_direction(res.witnesses, x).direction
+    except DegenerateSequence:  # witnesses centred at x point nowhere
+        return None
 
     def contained(offset: float) -> bool:
         base = x + (offset - float(d @ x)) * d

@@ -503,6 +503,23 @@ def test_generalized_binary_linear_estimates_a_union_label_s_halfspace(seed):
     assert abs(c + 1.0) <= 0.01
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_generalized_binary_linear_strip_union_reaching_a_small_cap(seed):
+    # P = {-5 < x2 < 0} u {0 <= x2 < 5}: no component reaches cap 3, but the
+    # sampled search's ball centred at a deep query point does, so its
+    # ExceedsCap witnesses are all centred there and point in no direction
+    P = UnionOfPolytopes((HPolytope((Halfspace([0.0, 1.0], 0.0, False),
+                                     Halfspace([0.0, -1.0], 5.0, False))),
+                          HPolytope((Halfspace([0.0, -1.0], 0.0),
+                                     Halfspace([0.0, 1.0], 5.0, False)))))
+    Q = UnionOfPolytopes((HPolytope((Halfspace([0.0, -1.0], -5.0),)),
+                          HPolytope((Halfspace([0.0, 1.0], -5.0),))))
+    C = Classifier(dimension=2, labels={"P": P, "Q": Q})
+    v = is_generalized_binary_linear(C, seed=seed, cap=3.0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "label 'P' admits no open-halfspace certificate"
+
+
 def test_generalized_binary_linear_needs_ordinary_classifier():
     with pytest.raises(ValueError):
         is_generalized_binary_linear(load_builtin("refined_linear.json"), seed=0)
