@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
 
 CAP_DIAMETERS = 1e6   # default cap, in units of the domain-box diameter
 TOL_DIAMETERS = 1e-6  # default tolerance, likewise
+_NO_DETAIL = types.MappingProxyType({})  # the detail of a result without statistics
 
 
 def default_cap(C: Classifier) -> float:
@@ -69,7 +71,7 @@ class CoverageResult:
     cap: float | None = None
     witness: Anchor | None = None
     witnesses: tuple = ()
-    detail: dict = dataclasses.field(default_factory=dict)
+    detail: types.MappingProxyType = dataclasses.field(default_factory=lambda: _NO_DETAIL)
 
     def __post_init__(self):
         if self.kind == "bounded":
@@ -151,6 +153,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     x = as_point(x)
     if not 0 < tol < cap:
         raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
+    tol = float(tol)  # a numpy tol would make the probe radii numpy scalars
     P = as_polytope(region)
     if not P.contains(x):
         # boundary points of closed regions are members; anything else is out
@@ -175,14 +178,23 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
                               witness=witnesses[-1], witnesses=witnesses)
 
     lo, center = float(np.min(slack)), x  # B(x, lo) lies in P
+    farkas_hi = hi < cap_probe  # hi is a Farkas bound not yet probed under
+    midpoint_due = False
     hi = max(lo, hi)
     while hi - lo > 0.5 * tol:
-        mid = 0.5 * (lo + hi)
-        z, bound = _feasible_center(x, P, mid)
+        under = farkas_hi and not midpoint_due
+        r = hi - 0.4 * tol if under else 0.5 * (lo + hi)
+        z, bound = _feasible_center(x, P, r)
+        width = hi - lo
         if z is not None:
-            lo, center = mid, z
+            lo, center = r, z
         else:
             hi = max(lo, bound)
+            farkas_hi = bound < r
+        # a probe under the bound that lowers hi by less than half the
+        # bracket is followed by a midpoint, so the steps at most double
+        # bisection's
+        midpoint_due = under and hi - lo > 0.5 * width
     return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi),
                           witness=_anchor(x, center, lo, P, label))
 
@@ -412,6 +424,7 @@ def _sampled_result(search: _SampledSearch, seed: int,
     detail = {"m": search.m, "seed": seed, "samples_spent": search.spent}
     if floor is not None:
         detail["component_floor"] = floor.radius if floor.kind == "bounded" else None
+    detail = types.MappingProxyType(detail)
     c, r = search.best_c, search.best_r
     if r >= search.cap:
         # balls nested in the certified B(c, r) that still hold x

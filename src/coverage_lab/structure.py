@@ -264,8 +264,9 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
 
 def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certificate:
     """The open halfspace {p : d.(p - x) > 0} (d unit) inside `region`,
-    which need not hold x: exact for convex labels, else sampled with
-    budget >= 1 points. A sample whose label cannot be evaluated refutes
+    which need not hold x: exact for convex labels, else sampled from
+    budget >= 1 points, of which those in the halfspace are tested and
+    counted in `samples`. A sample whose label cannot be evaluated refutes
     without a witness."""
     if isinstance(region, (Halfspace, HPolytope)):
         return halfspace_in_region(x, d, region)
@@ -285,7 +286,7 @@ def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certif
     far = x + (10.0 * diam) * (u * sign[:, None])
     ok, witness = sampled_inside(region, (pts, far))
     return Certificate("unfalsified" if ok else "refuted", witness=witness,
-                       samples=budget, seed=seed)
+                       samples=pts.shape[0] + n_far, seed=seed)
 
 
 # --- structure classification ----------------------------------------------

@@ -4,7 +4,7 @@ result ordering, and anchor certification."""
 import numpy as np
 import pytest
 
-from coverage_lab import engine
+from coverage_lab import engine, geometry
 from coverage_lab.data import load_builtin
 from coverage_lab.engine import (Anchor, CoverageResult, certify_anchor,
                                  compare_results, coverage_at,
@@ -204,6 +204,59 @@ def test_farkas_bound_lands_on_the_inradius(monkeypatch):
     res = coverage_exact_convex([0.5, 0.5], unit_box(), cap=100.0, tol=1e-9)
     assert res.kind == "bounded" and res.radius == 0.5
     assert len(calls) == 1
+
+
+def _ldp_calls(monkeypatch) -> list:
+    calls = []
+    solve = geometry.least_distance
+    monkeypatch.setattr(geometry, "least_distance",
+                        lambda A, h: calls.append(1) or solve(A, h))
+    return calls
+
+
+def _triangle() -> HPolytope:
+    # equilateral, inradius 1 around the origin, a vertex at (-2, 0)
+    return HPolytope(tuple(Halfspace([np.cos(t), np.sin(t)], 1.0)
+                           for t in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)))
+
+
+@pytest.mark.parametrize("region, x, exact", [
+    (HPolytope((Halfspace([0.0, -1.0], 1.0), Halfspace([0.0, 1.0], 3.0))), [0.3, 0.2], 2.0),
+    (_triangle(), [0.2, -0.1], 1.0),  # inside the inscribed ball
+], ids=["slab", "simplex"])
+def test_probe_under_the_farkas_bound_closes_the_bracket(monkeypatch, region, x, exact):
+    # the cap probe's Farkas bound is the answer, so the probe just under it
+    # is feasible; bisection took 22 and 20 least-distance solves
+    calls = _ldp_calls(monkeypatch)
+    res = coverage_exact_convex(x, region, cap=1e6, tol=1e-6)
+    assert res.kind == "bounded" and abs(res.radius - exact) <= 1e-6
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("region, x, exact, bisection_calls", [
+    (_triangle(), [-1.5, 0.0], 0.5, 22),  # near a vertex: the ball centred on its bisector
+    (HPolytope((Halfspace([1.0, -1.0], 0.0), Halfspace([-1.0, -1.0], 0.0))),
+     [0.0, 0.5], 0.5 * (1.0 + np.sqrt(2.0)), 42),  # the cone y >= |x|: no Farkas bound
+], ids=["simplex_vertex", "cone"])
+def test_probe_at_most_doubles_bisection_where_distance_limits(monkeypatch, region, x,
+                                                                exact, bisection_calls):
+    # the answer is where the shrunk body, though nonempty, gets too far from x
+    calls = _ldp_calls(monkeypatch)
+    res = coverage_exact_convex(x, region, cap=1e6, tol=1e-6)
+    assert res.kind == "bounded" and abs(res.radius - exact) <= 1e-6
+    assert res.witness.certificate.kind == "proven"
+    assert len(calls) <= 2 * bisection_calls
+
+
+def test_exact_results_share_one_read_only_detail():
+    a = coverage_exact_convex([0.5, 0.5], unit_box(), cap=100.0, tol=1e-6)
+    b = coverage_exact_convex([0.2, 0.7], unit_box(), cap=100.0, tol=1e-6)
+    assert a.detail is b.detail and not a.detail
+    with pytest.raises(TypeError):
+        a.detail["samples_spent"] = 1
+    sampled = coverage_sampled(load_builtin("fig1.json"), [3.0, 0.5], budget=2_000)
+    with pytest.raises(TypeError):
+        sampled.detail["samples_spent"] = 0
 
 
 @pytest.mark.parametrize("scale, wrap", [(1.0, False), (2.7, False), (0.4, True)])

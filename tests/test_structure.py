@@ -5,6 +5,7 @@ generalized-binary-linear recognition."""
 import numpy as np
 import pytest
 
+from coverage_lab import structure
 from coverage_lab.data import load_builtin
 from coverage_lab.engine import Anchor, coverage_at
 from coverage_lab.errors import (AmbiguousLabel, DegenerateSequence, EvalError,
@@ -199,7 +200,7 @@ def test_halfspace_certificate_refuted_for_bounded_label():
     assert cert.kind == "refuted"
 
 
-def test_halfspace_certificate_sampled_on_analytic_label():
+def test_halfspace_certificate_sampled_on_analytic_label(monkeypatch):
     # analytic halfspace-shaped label: inward normal is unfalsifiable,
     # any other direction gets refuted by the far-field samples
     C = Classifier(dimension=2, labels={
@@ -207,9 +208,14 @@ def test_halfspace_certificate_sampled_on_analytic_label():
         "down": analytic("x2 <= 0", 2),
     })
     x = np.array([3.0, 5.0])
+    tested = []
+    check = structure.sampled_inside
+    monkeypatch.setattr(structure, "sampled_inside", lambda region, batches: check(
+        region, [tested.append(len(pts)) or pts for pts in batches]))
     cert = halfspace_certificate(C, x, [0.0, 1.0], budget=20_000, seed=0)
     assert cert.kind == "unfalsified"
-    assert cert.samples == 20_000
+    # the box points outside the halfspace are drawn but not tested
+    assert cert.samples == sum(tested) < 20_000
     cert = halfspace_certificate(C, x, [1.0, 0.2], budget=20_000, seed=0)
     assert cert.kind == "refuted"
 
@@ -228,7 +234,7 @@ def test_halfspace_certificate_unevaluable_sample_refutes():
                                         "N": analytic("exp(2*x2) <= 1", 2)})
     cert = halfspace_certificate(C, [0.0, 5.0], [0.0, 1.0], budget=2000)
     assert cert.kind == "refuted" and cert.witness is None
-    assert cert.samples == 2000 and cert.seed == 0
+    assert 0 < cert.samples < 2000 and cert.seed == 0  # the points above x2 = 5
 
 
 def test_sampled_halfspace_certificate_needs_a_sample():
