@@ -1,8 +1,10 @@
 """Coverage of a classifier at a point.
 
-Exact route (convex labels): bisection on the anchor radius r, where r is
+Exact route (convex labels): a search on the anchor radius r, where r is
 feasible iff some center c with ||x - c|| < r lies in the inner parallel
-body of the label shrunk by r.
+body of the label shrunk by r. An empty body's Farkas vector bounds r from
+above, and the next probe goes just under that bound; otherwise the search
+bisects.
 
 Sampled route (union / analytic labels): multi-start center search with
 per-candidate certification by uniform interior and near-surface samples;
@@ -145,9 +147,13 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
                           label: str = "label") -> CoverageResult:
     """Supremum anchor radius at x for a convex region, within tol.
 
-    Zero exactly when x lies on a facet, up to rounding. Otherwise bisection
+    Zero exactly when x lies on a facet, up to rounding. Otherwise a search
     from x's distance to the nearest facet (the ball around x) up to the
-    cap, where an empty body lowers the upper end to its Farkas bound.
+    cap. An empty body lowers the upper end to its Farkas bound, and the
+    next probe goes 0.4 tol under it, which closes the bracket where the
+    bound is the answer; a probe that is nonempty but too far from x, or
+    that lowers the upper end by less than half the bracket, is followed by
+    a midpoint, so the probes at most double bisection's.
     Raises ExactUnsupported for a region that is not convex.
     """
     x = as_point(x)
@@ -191,9 +197,6 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         else:
             hi = max(lo, bound)
             farkas_hi = bound < r
-        # a probe under the bound that lowers hi by less than half the
-        # bracket is followed by a midpoint, so the steps at most double
-        # bisection's
         midpoint_due = under and hi - lo > 0.5 * width
     return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi),
                           witness=_anchor(x, center, lo, P, label))

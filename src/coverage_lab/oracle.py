@@ -1,5 +1,5 @@
 """A brute-force coverage oracle for convex labels, independent of the
-bisection engine.
+exact engine.
 
 It exists to cross-check the engine: it grids candidate ball centers and
 evaluates the best anchor radius directly, with local grid refinement around
