@@ -2,9 +2,10 @@
 
 Exact route (convex labels): a search on the anchor radius r, where r is
 feasible iff some center c with ||x - c|| < r lies in the inner parallel
-body of the label shrunk by r. An empty body's Farkas vector bounds r from
-above, and the next probe goes just under that bound; otherwise the search
-bisects.
+body of the label shrunk by r. An infeasible probe bounds r from above: an
+empty body by its Farkas vector, a body too far from x by the Newton step
+on dist(x, body) - r from its projection's multipliers. The next probe goes
+just under that bound; where a probe gives no bound, the search bisects.
 
 Sampled route (union / analytic labels): multi-start center search with
 per-candidate certification by uniform interior and near-surface samples;
@@ -117,20 +118,30 @@ def compare_results(r1: CoverageResult, r2: CoverageResult, tol: float = 0.0) ->
 # --- exact convex route ----------------------------------------------------
 
 def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
-    """(center, r) of a radius-r ball inscribed in P that contains x
-    strictly, else (None, bound): no radius above bound <= r is feasible.
+    """(center, r, False) of a radius-r ball inscribed in P that contains x
+    strictly, else (None, bound, empty): no radius above bound <= r is
+    feasible, and `empty` says whether P shrunk by r is empty.
 
     The distance must clear r by a float margin far below any tol. An
     empty body's Farkas vector w proves it empty at every r' > b.w / sum(w).
+    A body at distance d >= r from x gives the Newton bound: phi(r') =
+    dist(x, P_r') - r' is convex with slope sum(lambda) / d - 1 at r, from
+    the projection's multipliers lambda, so when that slope is positive
+    phi stays positive above its tangent's root r - (d - r) / slope.
     """
     try:
-        z, d = project_onto_polytope(x, shrink_polytope(P, r))
+        p = project_onto_polytope(x, shrink_polytope(P, r))
     except EmptyPolytope as exc:
         w = exc.farkas
-        return None, (r if w is None else min(r, float(P.b @ w) / float(w.sum())))
+        return None, (r if w is None else min(r, float(P.b @ w) / float(w.sum()))), True
+    d = p.distance
     if d < r - 1e-12 * (1.0 + r + math.sqrt(float(x @ x))):
-        return z, r
-    return None, r
+        return p.point, r, False
+    if p.multipliers is not None and d > 0.0:
+        slope = float(p.multipliers.sum()) / d - 1.0
+        if slope > 0.0:
+            return None, min(r, r - (d - r) / slope), False
+    return None, r, False
 
 
 def shrink_toward(x: np.ndarray, c: np.ndarray, r_small: float, r_big: float) -> np.ndarray:
@@ -149,11 +160,14 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
 
     Zero exactly when x lies on a facet, up to rounding. Otherwise a search
     from x's distance to the nearest facet (the ball around x) up to the
-    cap. An empty body lowers the upper end to its Farkas bound, and the
-    next probe goes 0.4 tol under it, which closes the bracket where the
-    bound is the answer; a probe that is nonempty but too far from x, or
-    that lowers the upper end by less than half the bracket, is followed by
-    a midpoint, so the probes at most double bisection's.
+    cap. An infeasible probe lowers the upper end to its bound: an empty
+    body's Farkas bound, or the Newton bound of a body too far from x (see
+    _feasible_center). The next probe goes 0.4 tol under it, which closes
+    the bracket where the bound is the answer. Newton bounds fall
+    superlinearly to the answer, which is a simple root of the convex
+    dist(x, P_r) - r; an empty probe that lowers the upper end by less than
+    half the bracket is followed by a midpoint, and so is a probe that gives
+    no bound.
     Raises ExactUnsupported for a region that is not convex.
     """
     x = as_point(x)
@@ -175,7 +189,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         return CoverageResult("zero", "exact")
 
     cap_probe = cap * (1 + 1e-9) + 4 * tol
-    z, hi = _feasible_center(x, P, cap_probe)
+    z, hi, _ = _feasible_center(x, P, cap_probe)
     if z is not None:
         # balls nested in B(z, cap_probe) that still hold x
         witnesses = tuple(_anchor(x, shrink_toward(x, z, r, cap_probe), r, P, label)
@@ -184,20 +198,21 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
                               witness=witnesses[-1], witnesses=witnesses)
 
     lo, center = float(np.min(slack)), x  # B(x, lo) lies in P
-    farkas_hi = hi < cap_probe  # hi is a Farkas bound not yet probed under
+    bounded = hi < cap_probe  # hi is a bound not yet probed under
     midpoint_due = False
     hi = max(lo, hi)
     while hi - lo > 0.5 * tol:
-        under = farkas_hi and not midpoint_due
-        r = hi - 0.4 * tol if under else 0.5 * (lo + hi)
-        z, bound = _feasible_center(x, P, r)
+        r = hi - 0.4 * tol if bounded and not midpoint_due else 0.5 * (lo + hi)
+        z, bound, empty = _feasible_center(x, P, r)
         width = hi - lo
         if z is not None:
             lo, center = r, z
         else:
             hi = max(lo, bound)
-            farkas_hi = bound < r
-        midpoint_due = under and hi - lo > 0.5 * width
+            bounded = bound < r
+        # Farkas bounds that fall slowly are broken up by midpoints; Newton
+        # bounds fall superlinearly and need none
+        midpoint_due = empty and hi - lo > 0.5 * width
     return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi),
                           witness=_anchor(x, center, lo, P, label))
 

@@ -276,17 +276,24 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def least_distance(A: np.ndarray, h: np.ndarray):
-    """Shortest u with A u <= h (rows of A unit) as ``(u, None)``, or
+    """Shortest u with A u <= h (rows of A unit) as ``(u, lam)``, or
     ``(None, w)`` with a Farkas vector w >= 0, A^T w = 0, h.w < 0 proving
     the set empty; ``(None, None)`` when neither answer checks out.
 
+    lam are u's multipliers: lam >= 0, A^T lam = -u, and lam_i = 0 off the
+    rows that u meets, so that by the envelope theorem d(||u||^2 / 2) /
+    d(shift) = sum(lam) when every h_i moves down by the same shift. lam is
+    None when these do not check out to a float-relative slack.
+
     Its dual is an NNLS problem on ``[-A^T; -h^T / s]``, s = max|h| so
     that a far set's residual is not lost to rounding: a zero residual is
-    the Farkas vector, a nonzero one gives the point.
+    the Farkas vector, a nonzero one gives the point, and the NNLS weights
+    rescaled by s / -residual give its multipliers (Lawson and Hanson,
+    Solving Least Squares Problems, 1974, ch. 23).
     """
-    n = A.shape[1]
+    m, n = A.shape
     if np.all(h >= 0.0):
-        return np.zeros(n), None
+        return np.zeros(n), np.zeros(m)
     s = float(np.max(np.abs(h)))
     E = np.vstack([-A.T, -h[None, :] / s])
     f = np.zeros(n + 1)
@@ -298,25 +305,51 @@ def least_distance(A: np.ndarray, h: np.ndarray):
     res = E @ w - f
     if res[n] != 0.0:
         u = (-s / res[n]) * res[:n]
-        if np.all(A @ u <= h + 1e-9 * (s + math.sqrt(float(u @ u)))):
-            return u, None
+        un = math.sqrt(float(u @ u))
+        slack = 1e-9 * (s + un)
+        Au = A @ u
+        if np.all(Au <= h + slack):
+            lam = (s / -res[n]) * w
+            total = float(lam.sum())
+            e = A.T @ lam + u
+            checks = (np.all(lam >= 0.0)
+                      and math.sqrt(float(e @ e)) <= 1e-9 * (un + total)
+                      and np.all(lam[Au < h - slack] <= 1e-9 * total))
+            return u, (lam if checks else None)
     return None, None
 
 
-def project_onto_polytope(x, P: HPolytope):
+@dataclasses.dataclass(frozen=True, slots=True)
+class Projection:
+    """The nearest point of a polytope's closure to x and its distance,
+    which unpack as the pair ``point, distance``, with the multipliers of
+    `least_distance` over the polytope's unit rows, or None when they did
+    not check out."""
+
+    point: np.ndarray
+    distance: float
+    multipliers: np.ndarray | None
+
+    def __iter__(self):
+        return iter((self.point, self.distance))
+
+
+def project_onto_polytope(x, P: HPolytope) -> Projection:
     """Nearest point of closure(P) to x and its distance, exact up to
-    rounding. Raises EmptyPolytope, with its Farkas vector, when the set is
-    empty, and without one when the system is too degenerate for either
-    answer to check out.
+    rounding, with the point's multipliers: by the envelope theorem the
+    distance d to P shrunk by r grows at the rate sum(multipliers) / d.
+    Raises EmptyPolytope, with its Farkas vector, when the set is empty,
+    and without one when the system is too degenerate for either answer to
+    check out.
     """
     x = as_point(x)
     _check_dim(x, P.A[0])
-    u, w = least_distance(P.A, P.b - P.A @ x)
+    u, lam = least_distance(P.A, P.b - P.A @ x)
     if u is None:
-        raise EmptyPolytope("constraint set is empty" if w is not None else
+        raise EmptyPolytope("constraint set is empty" if lam is not None else
                             "no verified point or Farkas vector; degenerate set",
-                            farkas=w)
-    return x + u, float(np.linalg.norm(u))
+                            farkas=lam)
+    return Projection(x + u, float(np.linalg.norm(u)), lam)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -274,11 +274,11 @@ def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certif
         raise ValueError(f"a sampled check needs at least one sample, got {budget}")
     rng = np.random.default_rng(seed)
     diam = C.diameter
-    n_box = max(budget * 9 // 10, 1)
+    n_box = budget * 9 // 10
     pts = sample_box(C.domain_box, rng, n_box)
     keep = (pts - x) @ d > 0
     pts = pts[keep]
-    n_far = max(budget - n_box, budget // 10)
+    n_far = budget - n_box  # at least one point, inside the halfspace
     u = rng.standard_normal((n_far, C.dimension))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     sign = np.sign(u @ d)

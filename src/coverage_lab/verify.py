@@ -213,7 +213,7 @@ def criterion_5(seed: int):
         sup_r = res.radius if res.kind == "bounded" else B
         for _ in range(20):
             r2 = float(rng.uniform(0.2, 0.9)) * sup_r
-            c2, _ = _feasible_center(x0, P, r2)
+            c2 = _feasible_center(x0, P, r2)[0]
             if c2 is None:
                 continue
             r1 = float(rng.uniform(0.05, 0.95)) * r2

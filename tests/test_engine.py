@@ -13,9 +13,10 @@ from coverage_lab.engine import (Anchor, CoverageResult, certify_anchor,
 from coverage_lab.errors import (EmptyRegion, ExactUnsupported,
                                  PointNotInAnyLabel, PointNotInRegion,
                                  RefinementPoint)
-from coverage_lab.field import compute_field
+from coverage_lab.field import compute_field, grid_points
 from coverage_lab.geometry import Ball, Halfspace, HPolytope, ball_in_region
 from coverage_lab.model import Classifier, UnionOfPolytopes, analytic
+from coverage_lab.verify import random_polytope_case
 
 # Sampled-route reference value, frozen from an exhaustive center-grid
 # search with exact line/curve distance evaluation (see tests/conftest
@@ -233,19 +234,62 @@ def test_probe_under_the_farkas_bound_closes_the_bracket(monkeypatch, region, x,
     assert len(calls) <= 3
 
 
-@pytest.mark.parametrize("region, x, exact, bisection_calls", [
-    (_triangle(), [-1.5, 0.0], 0.5, 22),  # near a vertex: the ball centred on its bisector
+@pytest.mark.parametrize("region, x, exact, max_calls", [
+    (_triangle(), [-1.5, 0.0], 0.5, 8),  # near a vertex: the ball centred on its bisector
     (HPolytope((Halfspace([1.0, -1.0], 0.0), Halfspace([-1.0, -1.0], 0.0))),
-     [0.0, 0.5], 0.5 * (1.0 + np.sqrt(2.0)), 42),  # the cone y >= |x|: no Farkas bound
+     [0.0, 0.5], 0.5 * (1.0 + np.sqrt(2.0)), 12),  # the cone y >= |x|: no Farkas bound
 ], ids=["simplex_vertex", "cone"])
 def test_probe_at_most_doubles_bisection_where_distance_limits(monkeypatch, region, x,
-                                                                exact, bisection_calls):
-    # the answer is where the shrunk body, though nonempty, gets too far from x
+                                                                exact, max_calls):
+    # the answer is where the shrunk body, though nonempty, gets too far from
+    # x; bisection took 22 and 42 least-distance solves, and Newton bounds
+    # from the right take a few (on the cone dist(x, P_r) - r is affine)
     calls = _ldp_calls(monkeypatch)
     res = coverage_exact_convex(x, region, cap=1e6, tol=1e-6)
     assert res.kind == "bounded" and abs(res.radius - exact) <= 1e-6
     assert res.witness.certificate.kind == "proven"
-    assert len(calls) <= 2 * bisection_calls
+    assert len(calls) <= max_calls
+
+
+def test_fig3_component_queries_take_few_solves(monkeypatch):
+    # budget 0 leaves the exact component floors alone; the distance-limited
+    # ones took 20-22 least-distance solves each before the Newton bound
+    C = load_builtin("fig3.json")
+    calls, per_query = _ldp_calls(monkeypatch), []
+    exact = engine.coverage_exact_convex
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        res = exact(*args, **kwargs)
+        per_query.append(len(calls) - before)
+        return res
+
+    monkeypatch.setattr(engine, "coverage_exact_convex", counted)
+    compute_field(C, grid_points(C.domain_box, (20, 20)), budget=0)
+    assert len(per_query) == 400
+    assert max(per_query) <= 8 and np.mean(per_query) <= 4
+
+
+def test_newton_bounds_are_sound(monkeypatch):
+    # every radius between a Newton bound and the probe that gave it is
+    # infeasible, so the bound never cuts off the answer
+    feasible_center, bounds = engine._feasible_center, []
+
+    def recorded(x, P, r):
+        out = feasible_center(x, P, r)
+        if out[0] is None and not out[2] and out[1] < r:
+            bounds.append((x, P, r, out[1]))
+        return out
+
+    monkeypatch.setattr(engine, "_feasible_center", recorded)
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        P, x0, B = random_polytope_case(rng, 2 + i % 2)
+        coverage_exact_convex(x0, P, cap=100.0 * B, tol=1e-6 * B)
+    assert len(bounds) >= 100
+    for x, P, r, beta in bounds:
+        for t in (1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            assert feasible_center(x, P, beta + t * (r - beta))[0] is None
 
 
 def test_exact_results_share_one_read_only_detail():

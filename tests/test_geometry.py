@@ -373,12 +373,13 @@ def _kkt_projection_distance(A: np.ndarray, h: np.ndarray):
     """Brute-force reference for min ||u|| subject to A u <= h (rows of A
     unit): every constraint subset S of size <= n whose KKT multipliers
     lam = -(A_S A_S^T)^-1 h_S are nonnegative and whose point u = -A_S^T lam
-    is feasible. Returns the least such ||u||, or None when no subset
-    qualifies, which for generic A means the set is empty."""
+    is feasible. Returns the least such ||u|| with the multipliers of its
+    subset, zero off it, or None when no subset qualifies, which for
+    generic A means the set is empty."""
     m, n = A.shape
     eps = 1e-9 * (1.0 + float(np.max(np.abs(h))))
     if np.all(h >= 0.0):
-        return 0.0
+        return 0.0, np.zeros(m)
     best = None
     for k in range(1, min(m, n) + 1):
         S = np.array(list(itertools.combinations(range(m), k)))
@@ -388,8 +389,12 @@ def _kkt_projection_distance(A: np.ndarray, h: np.ndarray):
         u = -(A_S.transpose(0, 2, 1) @ lam[..., None])[..., 0]
         ok = np.all(lam >= -eps, axis=1) & np.all(u @ A.T <= h + eps, axis=1)
         if ok.any():
-            d = float(np.min(np.linalg.norm(u[ok], axis=1)))
-            best = d if best is None else min(best, d)
+            dist = np.linalg.norm(u, axis=1)
+            i = int(np.flatnonzero(ok)[np.argmin(dist[ok])])
+            if best is None or dist[i] < best[0]:
+                full = np.zeros(m)
+                full[S[i]] = lam[i]
+                best = float(dist[i]), full
     return best
 
 
@@ -413,7 +418,7 @@ def test_least_distance_matches_brute_force_on_random_systems():
         x = rng.standard_normal(n)
         reference = _kkt_projection_distance(P.A, P.b - P.A @ x)
         try:
-            z, d = project_onto_polytope(x, P)
+            projection = project_onto_polytope(x, P)
         except EmptyPolytope as exc:
             verdicts["empty"] += 1
             assert reference is None
@@ -421,11 +426,19 @@ def test_least_distance_matches_brute_force_on_random_systems():
             continue
         verdicts["point"] += 1
         assert reference is not None
+        z, d = projection
+        ref_d, ref_lam = reference
         # relative beyond 1: a set far away behind nearly parallel facets is
         # ill-conditioned for both methods (one case here lies at 6.2e5)
-        assert abs(d - reference) <= 1e-7 * max(1.0, reference)
+        assert abs(d - ref_d) <= 1e-7 * max(1.0, ref_d)
         assert abs(d - float(np.linalg.norm(z - x))) <= 1e-12 * (1.0 + d)
         assert np.max(P.A @ z - P.b) <= 1e-9 * (1.0 + float(np.max(np.abs(P.b))))
+        # the multipliers: lam >= 0 and A^T lam = -u, with the sum of the
+        # brute force's, which sets how fast the distance grows under a shrink
+        lam = projection.multipliers
+        assert lam is not None and np.all(lam >= 0.0)
+        assert np.linalg.norm(P.A.T @ lam + (z - x)) <= 1e-9 * (1.0 + d + lam.sum())
+        assert abs(lam.sum() - ref_lam.sum()) <= 1e-7 * max(1.0, ref_lam.sum())
     # both verdicts are exercised
     assert min(verdicts.values()) >= 50
 

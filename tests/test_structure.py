@@ -242,6 +242,14 @@ def test_sampled_halfspace_certificate_needs_a_sample():
     for budget in (0, -3):
         with pytest.raises(ValueError, match="at least one sample"):
             halfspace_certificate(C, [9.0, 60.0], [0.0, 1.0], budget=budget)
+    # budget 1 tests its one point in the far field, inside the halfspace,
+    # where a box point could fall outside it and leave nothing tested
+    C = Classifier(dimension=2, labels={"up": analytic("x2 > 0", 2),
+                                        "down": analytic("x2 <= 0", 2)},
+                   domain_box=np.array([[-10.0, -10.0], [10.0, 10.0]]))
+    for seed in range(3):
+        cert = halfspace_certificate(C, [3.0, 5.0], [1.0, 0.0], budget=1, seed=seed)
+        assert cert.samples >= 1
 
 
 def test_halfspace_certificate_refinement_point_raises():
