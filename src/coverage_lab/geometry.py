@@ -127,7 +127,7 @@ class Halfspace:
         return v <= self.b if self.closed else v < self.b
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Hyperplane:
     """``{x : a.x = b}``."""
 

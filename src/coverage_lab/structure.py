@@ -4,7 +4,9 @@ classifier, negligibility, and generalized-binary-linear recognition.
 
 All "infinite coverage" talk here means ExceedsCap at the configured cap:
 verdicts are empirical evidence gathered from finitely many probes, not
-proofs, and they carry the cap used.
+proofs, and they carry the cap used. A probe inside the open halfspace that
+its convex label holds is read from the label's rows, where coverage is
+unbounded; the other probes are coverage queries.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
 
 # --- verdict types ---------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class StructureVerdict:
     """RefinedLinear | NotRefinedLinear | TrivialClassifier | Inconclusive."""
 
@@ -54,13 +56,13 @@ class StructureVerdict:
         return out
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class DirectionEstimate:
     direction: np.ndarray  # unit vector
     residual_angles: tuple  # radians, one per anchor
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class GeneralizedLinearVerdict:
     is_generalized_binary_linear: bool
     hyperplane: Hyperplane | None = None
@@ -302,7 +304,7 @@ def _feature_space_probes(C: Classifier, count: int, rng) -> list:
             attempts += 1
             if name is None or name == REFINEMENT:
                 continue
-            probes.append((p, name))
+            probes.append((p.copy(), name))  # a view would pin the batch
             if len(probes) == count:
                 break
     return probes
@@ -343,7 +345,7 @@ def _fit_hyperplane(points: np.ndarray):
     centroid = points.mean(axis=0)
     centered = points - centroid
     _, svals, vt = np.linalg.svd(centered, full_matrices=True)
-    normal = vt[-1]
+    normal = vt[-1].copy()  # a view would pin vt
     residual = float(svals[-1]) / np.sqrt(points.shape[0]) if svals.size >= points.shape[1] else 0.0
     if points.shape[0] <= points.shape[1]:
         residual = 0.0
@@ -355,7 +357,13 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                        seed: int = 0, tol: float | None = None) -> StructureVerdict:
     """Empirical refined-linear test: probe coverage everywhere, then (if
     every probe exceeds the cap with exactly two labels) recover the
-    separating hyperplane from bisection-located boundary points."""
+    separating hyperplane from bisection-located boundary points.
+
+    A probe deeper than the exact route's zero margin inside its label's
+    held halfspace (_held_halfspace, read at the label's first probe)
+    exceeds every cap and makes no coverage query; the "more than two
+    labels" verdict queries the third label's first probe on demand, with
+    that probe's seed. Verdicts are those that querying every probe gives."""
     cap, tol = resolve_limits(C, cap, tol, budget)
     rng = np.random.default_rng(seed)
     probes = _feature_space_probes(C, probe_count, rng)
@@ -369,9 +377,22 @@ def classify_structure(C: Classifier, probe_count: int = 30,
     if len(seen) == 1:
         return StructureVerdict("trivial", cap=cap, label_pair=(seen[0],))
 
-    results = []
+    def query(i):
+        return coverage_at(C, probes[i][0], cap=cap, budget=budget,
+                           seed=seed * 1_000_003 + i, tol=tol)
+
+    held = {}  # label -> its held halfspace (u, beta) or None, read at its first probe
+    results = []  # None where the probe lies inside its label's held halfspace
     for i, (p, name) in enumerate(probes):
-        res = coverage_at(C, p, cap=cap, budget=budget, seed=seed * 1_000_003 + i, tol=tol)
+        if name not in held:
+            held[name] = _held_halfspace(C.labels[name])
+        if held[name] is not None:
+            u, beta = held[name]
+            # the exact route's zero margin: further in, every cap is exceeded
+            if beta - float(u @ p) > 1e-12 * (1.0 + abs(beta) + float(np.linalg.norm(p))):
+                results.append(None)
+                continue
+        res = query(i)
         results.append(res)
         if res.kind in ("zero", "bounded"):
             return StructureVerdict("not_refined_linear", cap=cap, witness=p,
@@ -381,7 +402,7 @@ def classify_structure(C: Classifier, probe_count: int = 30,
         third = seen[2]
         idx = next(i for i, (_, n) in enumerate(probes) if n == third)
         return StructureVerdict("not_refined_linear", cap=cap,
-                                witness=probes[idx][0], coverage=results[idx],
+                                witness=probes[idx][0], coverage=results[idx] or query(idx),
                                 reason=f"more than two labels observed ({seen})")
 
     la, lb = seen
@@ -454,21 +475,33 @@ def _sample_point_in(C: Classifier, region, rng, attempts: int = 200):
     return None
 
 
+def _held_halfspace(region):
+    """The unit row (u, beta) of the open halfspace {u.p < beta} that a
+    convex label holds, or None (also for a label that is not convex).
+
+    A convex label holds an open halfspace exactly when all its unit rows
+    are one u, and then the halfspace is u.p < its lowest offset; the
+    check reads that from the rows."""
+    if not isinstance(region, (Halfspace, HPolytope)):
+        return None
+    P = as_polytope(region)
+    i = int(np.argmin(P.b))
+    if halfspace_in_region(P.b[i] * P.A[i], -P.A[i], P).ok:
+        return P.A[i].copy(), float(P.b[i])  # a view would pin P.A
+    return None
+
+
 def _label_boundary_hyperplane(C: Classifier, name: str, rng,
                                cap: float, budget: int, tol: float):
     """Boundary of the maximal open halfspace inside the label, or None.
 
-    A convex label holds an open halfspace exactly when all its unit rows
-    are one u, and then the halfspace is u.p < its lowest offset; the
-    check reads that from the rows. Other labels estimate the direction
-    from anchor centers and bisect the offset on sampled checks."""
+    A convex label's is read from its rows (_held_halfspace). Other labels
+    estimate the direction from anchor centers and bisect the offset on
+    sampled checks."""
     region = C.labels[name]
     if isinstance(region, (Halfspace, HPolytope)):
-        P = as_polytope(region)
-        i = int(np.argmin(P.b))
-        if halfspace_in_region(P.b[i] * P.A[i], -P.A[i], P).ok:
-            return Hyperplane(P.A[i], P.b[i])
-        return None
+        held = _held_halfspace(region)
+        return None if held is None else Hyperplane(*held)
     x = _sample_point_in(C, region, rng)
     if x is None:
         return None

@@ -424,6 +424,108 @@ def test_classify_recovers_random_hyperplanes():
         assert abs(c - cref) < 1e-3 * C.diameter
 
 
+def _refined_pair(rng, n):
+    a = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
+    b = float(rng.uniform(-5.0, 5.0) * np.linalg.norm(a))  # cuts the box
+    return refine_boundary(Classifier(n, {"P": Halfspace(a, b, False),
+                                          "Q": Halfspace(-a, -b, True)}))
+
+
+def _counting_queries(monkeypatch):
+    """Patch structure.coverage_at to record the point of every query."""
+    points = []
+
+    def counted(C, x, **kw):
+        points.append(np.array(x))
+        return coverage_at(C, x, **kw)
+
+    monkeypatch.setattr(structure, "coverage_at", counted)
+    return points
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_classify_refined_pair_makes_no_coverage_query(monkeypatch, n):
+    points = _counting_queries(monkeypatch)
+    v = classify_structure(_refined_pair(np.random.default_rng(n), n), seed=n)
+    assert v.kind == "refined_linear" and points == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_classify_slab_queries_only_the_middle_label(monkeypatch, n):
+    points = _counting_queries(monkeypatch)
+    C = random_slab_classifier(np.random.default_rng(n), n=n, k=3)
+    v = classify_structure(C, seed=n)
+    assert v.kind == "not_refined_linear" and v.coverage.kind == "bounded"
+    assert len(points) == 1 and label_of(C, points[0]) == "slab0"
+    assert points[0].tobytes() == v.witness.tobytes()
+
+
+def test_classify_queries_a_probe_within_the_zero_margin(monkeypatch):
+    # (1, -1e-13) lies inside A's halfspace, but within the exact route's
+    # zero margin: it is queried, and its zero coverage decides
+    C = Classifier(2, {"A": Halfspace([0.0, 1.0], 0.0, True),
+                       "B": Halfspace([0.0, -1.0], 0.0, False)})
+    batch = np.array([[3.0, -1.0], [1.0, -1e-13], [2.0, 1.0]])
+    monkeypatch.setattr(structure, "sample_box", lambda box, rng, count: batch.copy())
+    points = _counting_queries(monkeypatch)
+    v = classify_structure(C, probe_count=3)
+    assert v.reason == "bounded coverage at probe" and v.coverage.kind == "zero"
+    assert [p.tolist() for p in points] == [[1.0, -1e-13]] == [v.witness.tolist()]
+
+
+def _verdict_fields(v):
+    hyp = v.hyperplane
+    return (v.kind, v.reason, v.label_pair,
+            None if hyp is None else (hyp.a.tobytes(), hyp.b),
+            None if v.witness is None else v.witness.tobytes(),
+            None if v.coverage is None else v.coverage.describe())
+
+
+def test_classify_reads_held_halfspaces_with_the_queried_verdict(monkeypatch):
+    cases = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 5):
+            cases.append((_refined_pair(rng, n), seed))
+            cases.append((refine_boundary(random_slab_classifier(rng, n=n, k=3)), seed))
+    read = [_verdict_fields(classify_structure(C, seed=seed)) for C, seed in cases]
+    monkeypatch.setattr(structure, "_held_halfspace", lambda region: None)
+    queried = [_verdict_fields(classify_structure(C, seed=seed)) for C, seed in cases]
+    assert read == queried
+    assert {f[0] for f in read} == {"refined_linear", "not_refined_linear"}
+
+
+def test_classify_more_than_two_labels_queries_the_third_label_s_probe():
+    # every probe exceeds cap 2, so the verdict is the label count; the
+    # third label seen is R, whose probes lie inside its held halfspace
+    e = np.array([1.0, 0.0])
+    C = Classifier(2, {"L": Halfspace(e, -15.0, False),
+                       "M": HPolytope((Halfspace(-e, 15.0, True), Halfspace(e, 15.0, True))),
+                       "R": Halfspace(-e, -15.0, False)},
+                   domain_box=[[-20.0, -20.0], [20.0, 20.0]])
+    v = classify_structure(C, cap=2.0, seed=0)
+    assert v.reason == "more than two labels observed (['M', 'L', 'R'])"
+    probes = _feature_space_probes(C, 30, np.random.default_rng(0))
+    i = next(i for i, (_, name) in enumerate(probes) if name == "R")
+    assert probes[i][0].tobytes() == v.witness.tobytes()
+    # the probe's own seed, seed * 1_000_003 + i at seed 0
+    want = coverage_at(C, probes[i][0], cap=2.0, budget=20_000, seed=i)
+    assert v.coverage.kind == "exceeds_cap"
+    assert v.coverage.describe() == want.describe()
+    assert ([w.ball.radius for w in v.coverage.witnesses]
+            == [w.ball.radius for w in want.witnesses])
+
+
+def test_verdicts_hold_no_views_of_larger_arrays():
+    # a probe or fitted normal that is a row view keeps its whole array alive
+    v = classify_structure(load_builtin("fig3.json"), probe_count=8, seed=0)
+    assert v.kind == "not_refined_linear" and v.witness.base is None
+    v = classify_structure(load_builtin("refined_linear.json"), seed=0)
+    assert v.kind == "refined_linear" and v.hyperplane.a.base is None
+    u, _ = structure._held_halfspace(HPolytope((Halfspace([0.0, 2.0], 1.0),)))
+    assert u.base is None
+
+
 # --- negligibility and generalized binary linear ----------------------------
 
 def test_is_negligible_region():
