@@ -7,9 +7,17 @@ empty body by its Farkas vector, a body too far from x by the Newton step
 on dist(x, body) - r from its projection's multipliers. The next probe goes
 just under that bound; where a probe gives no bound, the search bisects.
 
-Sampled route (union / analytic labels): multi-start center search with
-per-candidate certification by uniform interior and near-surface samples;
-results are lower bounds, never claims of exactness.
+Union labels: a ball is connected, so where x's component is isolated
+(its closure is proven, by a checked Farkas vector per pair, to meet no
+other component's closure) every ball in the label that holds x lies in
+that component, and the exact route on it is the answer. Elsewhere the
+exact floor of x's components stands unless the sampled route beats it
+with a ball that straddles them.
+
+Sampled route (analytic labels, union points whose component touches
+another): multi-start center search with per-candidate certification by
+uniform interior and near-surface samples; results are lower bounds, never
+claims of exactness.
 
 Both routes report growth through the cap as ExceedsCap with a witness
 sequence of radii cap/4, cap/2 and one at or above the cap, all nested in
@@ -477,9 +485,11 @@ def _fully_sampled(C: Classifier, x, name: str, cap: float, budget: int,
 def coverage_at(C: Classifier, x, cap: float | None = None,
                 budget: int = 100_000, seed: int = 0,
                 tol: float | None = None) -> CoverageResult:
-    """Coverage of C at x: exact for convex labels, certified lower bound
-    for unions (per-component exact floor plus straddle search) and
-    analytic labels (fully sampled)."""
+    """Coverage of C at x: exact for convex labels and at union points
+    whose component is isolated (its closure meets no other component's,
+    read once per union by `UnionOfPolytopes.isolated`), at any budget;
+    certified lower bound at other union points (per-component exact floor
+    plus straddle search) and for analytic labels (fully sampled)."""
     cap, tol = resolve_limits(C, cap, tol, budget)
     x, name = _resolve_query(C, x)
     region = C.labels[name]
@@ -488,6 +498,11 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
         return coverage_exact_convex(x, region, cap, tol, label=name)
 
     if isinstance(region, UnionOfPolytopes):
+        for comp, isolated in zip(region.polytopes, region.isolated):
+            if isolated and comp.contains(x):
+                # a ball in the label is connected and the closures part it
+                # from every other component, so it lies in x's component
+                return coverage_exact_convex(x, comp, cap, tol, label=name)
         floor = CoverageResult("zero", "exact")
         for comp in region.polytopes:
             if not comp.closure_contains(x, atol=1e-9):

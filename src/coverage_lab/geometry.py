@@ -319,6 +319,14 @@ def least_distance(A: np.ndarray, h: np.ndarray):
     return None, None
 
 
+def closures_disjoint(P: HPolytope, Q: HPolytope) -> bool:
+    """Whether the closures of P and Q are proven disjoint: only a checked
+    Farkas vector of their stacked closed rows proves it, so a point of the
+    intersection, or no answer that checks out, reads as meeting."""
+    u, w = least_distance(np.vstack([P.A, Q.A]), np.concatenate([P.b, Q.b]))
+    return u is None and w is not None
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class Projection:
     """The nearest point of a polytope's closure to x and its distance,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -34,7 +35,8 @@ import numpy as np
 from . import dsl
 from .errors import (AmbiguousLabel, DimensionMismatch, EvalError, NoLabel,
                      SchemaError, SpecParseError)
-from .geometry import Halfspace, HPolytope, _dot_rows, as_point
+from .geometry import (Halfspace, HPolytope, _dot_rows, as_point,
+                       closures_disjoint)
 
 REFINEMENT = "refinement"
 
@@ -68,6 +70,18 @@ class UnionOfPolytopes:
     @property
     def dimension(self) -> int:
         return self.polytopes[0].dimension
+
+    @functools.cached_property
+    def isolated(self) -> tuple:
+        """Per polytope, whether its closure is proven to meet no other
+        polytope's closure; computed at the first read, one least-distance
+        check per pair not already known to touch on both sides."""
+        ps = self.polytopes
+        touching = [False] * len(ps)
+        for i, j in itertools.combinations(range(len(ps)), 2):
+            if not (touching[i] and touching[j]) and not closures_disjoint(ps[i], ps[j]):
+                touching[i] = touching[j] = True
+        return tuple(not t for t in touching)
 
     def contains(self, x) -> bool:
         return any(p.contains(x) for p in self.polytopes)

@@ -527,6 +527,97 @@ def test_union_coverage_lower_bound_with_floor():
     assert res.radius >= 6.5 - 1e-3
 
 
+def _box(lo, hi, closed=True) -> HPolytope:
+    rows = []
+    for i, e in enumerate(np.eye(2)):
+        rows += [Halfspace(e, hi[i], closed), Halfspace(-e, -lo[i], closed)]
+    return HPolytope(tuple(rows))
+
+
+def test_isolated_component_answers_point_238_exactly():
+    # fig3's M boxes are 2 apart, so no ball in M holds more than 9.5; the
+    # straddle search returned Bounded(9.50196) with a refuted witness at
+    # this grid point (20x20 field, seed 0, so the point's own seed is 238)
+    C = load_builtin("fig3.json")
+    x = grid_points(C.domain_box, (20, 20))[238]
+    res = coverage_at(C, x, budget=20_000, seed=238)
+    assert res.kind == "bounded" and res.radius <= 9.5 + engine.default_tol(C)
+    assert res.method == "exact"
+    assert res.witness.certificate.kind == "proven"
+    assert ball_in_region(res.witness.ball, C.labels["M"].polytopes[0], "exact").ok
+
+
+@pytest.mark.parametrize("budget", [0, 20_000])
+def test_isolated_components_answer_as_their_box(budget):
+    C = load_builtin("fig3.json")
+    boxes = C.labels["M"].polytopes
+    points = grid_points(C.domain_box, (20, 20))
+    F = compute_field(C, points, budget=budget)
+    cap, tol = engine.default_cap(C), engine.default_tol(C)
+    in_m = 0
+    for x, res in zip(F.points, F.results):
+        box = next((P for P in boxes if P.contains(x)), None)
+        if box is None:
+            continue
+        in_m += 1
+        ref = coverage_exact_convex(x, box, cap, tol, label="M")
+        assert (res.kind, res.method, res.radius, res.cap) == (ref.kind, "exact",
+                                                               ref.radius, ref.cap)
+        assert dict(res.detail) == {}
+        for a, b in zip((res.witness,) + res.witnesses, (ref.witness,) + ref.witnesses):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a.ball.center, b.ball.center)
+                assert a.ball.radius == b.ball.radius and a.certificate.kind == "proven"
+    assert in_m == 225
+
+
+@pytest.mark.parametrize("boxes", [
+    (_box([0.0, 0.0], [1.0, 1.0], closed=False), _box([1.0, 0.0], [2.0, 1.0], closed=False)),
+    (_box([0.0, 0.0], [1.0, 1.0]), _box([1.0, 1.0], [2.0, 2.0])),
+], ids=["open_boxes_sharing_a_face", "closed_boxes_meeting_at_a_corner"])
+def test_components_whose_closures_meet_keep_the_straddle_search(boxes):
+    # the interiors are disjoint, but the closures meet, so a ball could
+    # straddle the two components and only the search looks for one
+    U = UnionOfPolytopes(boxes)
+    assert U.isolated == (False, False)
+    res = coverage_at(Classifier(dimension=2, labels={"U": U}), [0.5, 0.5],
+                      budget=2_000, seed=0)
+    assert res.method == "lower_bound" and "component_floor" in res.detail
+
+
+def test_isolated_component_exceeding_the_cap_is_exact():
+    U = UnionOfPolytopes((HPolytope((Halfspace([1.0, 0.0], 0.0, False),)),
+                          HPolytope((Halfspace([-1.0, 0.0], -1.0, False),))))
+    assert U.isolated == (True, True)
+    C = Classifier(dimension=2, labels={"U": U})
+    for budget in (0, 2_000):
+        res = coverage_at(C, [-5.0, 5.0], cap=100.0, budget=budget, seed=0)
+        assert res.kind == "exceeds_cap" and res.method == "exact"
+        assert all(a.certificate.kind == "proven" for a in res.witnesses)
+        assert dict(res.detail) == {}
+
+
+def test_isolation_is_read_once_per_union(monkeypatch):
+    # fig3 has one pair of M components and six pairs of N components; the
+    # pair checks run at each union's first query, not at every query
+    C = load_builtin("fig3.json")
+    calls, in_exact = _ldp_calls(monkeypatch), []
+    exact = engine.coverage_exact_convex
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        res = exact(*args, **kwargs)
+        in_exact.append(len(calls) - before)
+        return res
+
+    monkeypatch.setattr(engine, "coverage_exact_convex", counted)
+    points = grid_points(C.domain_box, (20, 20))
+    for _ in range(2):
+        compute_field(C, points, budget=0)
+    assert len(calls) - sum(in_exact) == 7
+
+
 # --- anchor certification ---------------------------------------------------
 
 def test_certify_anchor_exact_proven_and_refuted():
