@@ -7,6 +7,12 @@ verdicts are empirical evidence gathered from finitely many probes, not
 proofs, and they carry the cap used. A probe inside the open halfspace that
 its convex label holds is read from the label's rows, where coverage is
 unbounded; the other probes are coverage queries.
+
+Both verdicts find a boundary one way (_fit_boundary): bisect segments
+between two labels' probes and fit a hyperplane to their ends. The
+generalized test makes no coverage query: a convex label's halfspace is
+read from its rows, and a union or analytic label must hold the open side
+of the fitted hyperplane on sampled checks.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from . import dsl
-from .engine import Anchor, CoverageResult, coverage_at, resolve_limits
+from .engine import CoverageResult, coverage_at, resolve_limits
 from .errors import DegenerateSequence, RefinementPoint, UnsupportedRegion
 from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane, as_point,
                        as_polytope, halfspace_in_region, sampled_inside)
@@ -341,15 +347,30 @@ def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
             for i, end in enumerate(ends)]
 
 
-def _fit_hyperplane(points: np.ndarray):
+def _fit_boundary(C: Classifier, probes, la, lb):
+    """The hyperplane between labels la and lb, fitted to the ends of
+    max(n + 1, 8) segments that pair their probes (both labels need one) in
+    turn, bisected by _bisect_boundaries. Returns (hyperplane, None, None),
+    else (None, point, reason) at the first segment that meets a third
+    label, or (None, None, reason) when the ends are not coplanar."""
+    group_a = [p for p, n in probes if n == la]
+    group_b = [p for p, n in probes if n == lb]
+    want = max(C.dimension + 1, 8)
+    ends = _bisect_boundaries(C, [(group_a[k % len(group_a)], group_b[k % len(group_b)])
+                                  for k in range(want)], la, lb)
+    for pt, other in ends:  # the first segment that meets a third label decides
+        if other is not None:
+            return None, pt, f"third label {other!r} on boundary segment"
+    points = np.array([pt for pt, _ in ends])
     centroid = points.mean(axis=0)
-    centered = points - centroid
-    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
+    _, svals, vt = np.linalg.svd(points - centroid, full_matrices=True)
     normal = vt[-1].copy()  # a view would pin vt
-    residual = float(svals[-1]) / np.sqrt(points.shape[0]) if svals.size >= points.shape[1] else 0.0
-    if points.shape[0] <= points.shape[1]:
-        residual = 0.0
-    return Hyperplane(normal, float(normal @ centroid)), residual
+    residual = float(svals[-1]) / np.sqrt(want)  # want > n points: svals has n entries
+    fit_tol = 1e-6 * C.diameter
+    if residual > fit_tol:
+        return None, None, (f"boundary points not coplanar "
+                            f"(residual {residual:.3g} > {fit_tol:.3g})")
+    return Hyperplane(normal, float(normal @ centroid)), None, None
 
 
 def classify_structure(C: Classifier, probe_count: int = 30,
@@ -406,23 +427,13 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                                 reason=f"more than two labels observed ({seen})")
 
     la, lb = seen
-    group_a = [p for p, n in probes if n == la]
-    group_b = [p for p, n in probes if n == lb]
-    want = max(C.dimension + 1, 8)
-    ends = _bisect_boundaries(C, [(group_a[k % len(group_a)], group_b[k % len(group_b)])
-                                  for k in range(want)], la, lb)
-    for pt, other in ends:  # the first segment that meets a third label decides
-        if other is not None:
-            res = coverage_at(C, pt, cap=cap, budget=budget, seed=seed, tol=tol)
-            return StructureVerdict("not_refined_linear", cap=cap, witness=pt,
-                                    coverage=res,
-                                    reason=f"third label {other!r} on boundary segment")
-    hyp, residual = _fit_hyperplane(np.array([pt for pt, _ in ends]))
-    fit_tol = 1e-6 * C.diameter
-    if residual > fit_tol:
-        return StructureVerdict("inconclusive", cap=cap,
-                                reason=f"boundary points not coplanar "
-                                       f"(residual {residual:.3g} > {fit_tol:.3g})")
+    hyp, pt, reason = _fit_boundary(C, probes, la, lb)
+    if pt is not None:
+        res = coverage_at(C, pt, cap=cap, budget=budget, seed=seed, tol=tol)
+        return StructureVerdict("not_refined_linear", cap=cap, witness=pt,
+                                coverage=res, reason=reason)
+    if hyp is None:
+        return StructureVerdict("inconclusive", cap=cap, reason=reason)
 
     # side-consistency on fresh probes
     fresh = _feature_space_probes(C, 2 * probe_count, rng)
@@ -451,7 +462,8 @@ def classify_structure(C: Classifier, probe_count: int = 30,
 
 def is_negligible_region(region) -> bool:
     """True iff every polytope piece has affine dimension < n, detected
-    structurally via forced-equality constraint pairs."""
+    structurally via forced-equality constraint pairs. Raises
+    UnsupportedRegion for an analytic region."""
     if isinstance(region, Hyperplane):
         return True
     if isinstance(region, Halfspace):
@@ -463,16 +475,6 @@ def is_negligible_region(region) -> bool:
                    for p in region.polytopes)
     raise UnsupportedRegion(
         f"negligibility undecidable for {type(region).__name__}")
-
-
-def _sample_point_in(C: Classifier, region, rng, attempts: int = 200):
-    for _ in range(attempts):
-        batch = sample_box(C.domain_box, rng, 64)
-        mask = region.contains_many(batch)
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            return batch[int(idx[0])]
-    return None
 
 
 def _held_halfspace(region):
@@ -491,53 +493,6 @@ def _held_halfspace(region):
     return None
 
 
-def _label_boundary_hyperplane(C: Classifier, name: str, rng,
-                               cap: float, budget: int, tol: float):
-    """Boundary of the maximal open halfspace inside the label, or None.
-
-    A convex label's is read from its rows (_held_halfspace). Other labels
-    estimate the direction from anchor centers and bisect the offset on
-    sampled checks."""
-    region = C.labels[name]
-    if isinstance(region, (Halfspace, HPolytope)):
-        held = _held_halfspace(region)
-        return None if held is None else Hyperplane(*held)
-    x = _sample_point_in(C, region, rng)
-    if x is None:
-        return None
-    res = coverage_at(C, x, cap=cap, budget=budget, seed=int(rng.integers(2**32)), tol=tol)
-    if res.kind != "exceeds_cap" or len(res.witnesses) < 3:
-        return None
-    try:
-        d = estimate_asymptotic_direction(res.witnesses, x).direction
-    except DegenerateSequence:  # witnesses centred at x point nowhere
-        return None
-
-    def contained(offset: float) -> bool:
-        base = x + (offset - float(d @ x)) * d
-        return _halfspace_in(C, region, base, d, budget, int(rng.integers(2**32))).ok
-
-    c0 = float(d @ x)
-    if not contained(c0):
-        return None
-    step = max(tol, 1e-3 * C.diameter)
-    lo = c0
-    while contained(lo - step) and step < 1e3 * C.diameter:
-        lo -= step
-        step *= 2
-    hi = lo
-    lo2 = lo - step
-    for _ in range(40):
-        if hi - lo2 <= max(tol, 1e-6 * C.diameter):
-            break
-        mid = 0.5 * (lo2 + hi)
-        if contained(mid):
-            hi = mid
-        else:
-            lo2 = mid
-    return Hyperplane(d, hi)
-
-
 def _same_hyperplane(h1: Hyperplane, h2: Hyperplane, scale: float,
                      angle_tol: float = 1e-6) -> bool:
     u1, c1 = h1.unit()
@@ -547,27 +502,62 @@ def _same_hyperplane(h1: Hyperplane, h2: Hyperplane, scale: float,
 
 
 def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
-                                 seed: int = 0, cap: float | None = None,
-                                 budget: int = 20_000,
-                                 tol: float | None = None) -> GeneralizedLinearVerdict:
+                                 seed: int = 0,
+                                 budget: int = 20_000) -> GeneralizedLinearVerdict:
     """True iff exactly two labels are full-dimensional, each contains a
     maximal open halfspace, the two halfspace boundaries coincide, and all
-    negligible labels lie inside that shared hyperplane."""
+    negligible labels lie inside that shared hyperplane.
+
+    Convex labels are read from their rows (_held_halfspace) and need no
+    probes; a classifier of convex labels draws none. Otherwise probe_count
+    feature-space probes are drawn. An analytic label is full-dimensional
+    when a probe lands in it, else the verdict is False. A union or
+    analytic full label takes the hyperplane that _fit_boundary fits
+    between the two full labels, and holds the open side of its first
+    probe when budget samples (_halfspace_in) find no point outside it.
+    No coverage query is made."""
     if not C.ordinary:
         raise ValueError("generalized-binary-linear test expects an ordinary classifier")
-    cap, tol = resolve_limits(C, cap, tol, budget)
-    rng = np.random.default_rng(seed)
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
+    convex = all(isinstance(r, (Halfspace, HPolytope)) for r in C.labels.values())
+    probes = [] if convex else _feature_space_probes(C, probe_count,
+                                                     np.random.default_rng(seed))
+    seen = {name for _, name in probes}
 
     negligible, full = [], []
     for name, region in C.labels.items():
-        (negligible if is_negligible_region(region) else full).append(name)
+        if isinstance(region, AnalyticRegion):
+            if name not in seen:
+                return GeneralizedLinearVerdict(
+                    False, reason=f"cannot decide negligibility of label {name!r}")
+            full.append(name)
+        else:
+            (negligible if is_negligible_region(region) else full).append(name)
     if len(full) != 2:
         return GeneralizedLinearVerdict(
             False, reason=f"{len(full)} full-dimensional labels, need exactly 2")
 
-    hyps = []
+    hyps, fitted = [], None
     for name in full:
-        hyp = _label_boundary_hyperplane(C, name, rng, cap, budget, tol)
+        region = C.labels[name]
+        if isinstance(region, (Halfspace, HPolytope)):
+            held = _held_halfspace(region)
+            hyp = None if held is None else Hyperplane(*held)
+        else:
+            if fitted is None:
+                unseen = [n for n in full if n not in seen]
+                if unseen:
+                    return GeneralizedLinearVerdict(
+                        False, reason=f"no probe landed in label {unseen[0]!r}")
+                fitted, _, reason = _fit_boundary(C, probes, *full)
+                if fitted is None:
+                    return GeneralizedLinearVerdict(False, reason=reason)
+            # the fitted normal is a unit vector, and the side is its label's first probe's
+            first = next(p for p, n in probes if n == name)
+            d = fitted.a if fitted.signed_distance(first) > 0 else -fitted.a
+            ok = _halfspace_in(C, region, fitted.b * fitted.a, d, budget, seed).ok
+            hyp = fitted if ok else None
         if hyp is None:
             return GeneralizedLinearVerdict(
                 False, reason=f"label {name!r} admits no open-halfspace certificate")

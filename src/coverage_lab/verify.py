@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .data import load_builtin
-from .engine import (_feasible_center, coverage_at, coverage_exact_convex,
-                     default_tol, Anchor)
+from .engine import _feasible_center, coverage_at, coverage_exact_convex, Anchor
 from .geometry import Ball, Halfspace, HPolytope, ball_in_region, as_point
-from .model import REFINEMENT, Classifier, label_of, sample_box
+from .model import (REFINEMENT, Classifier, UnionOfPolytopes, analytic, label_of,
+                    sample_box)
 from .oracle import coverage_oracle_polytope
 from .structure import classify_structure, estimate_asymptotic_direction, \
     is_generalized_binary_linear, refine_boundary
@@ -320,13 +320,25 @@ def criterion_8(seed: int):
 
 
 def criterion_9(seed: int):
-    """Generalized-binary-linear recognition on the shipped examples."""
+    """Generalized-binary-linear recognition on the shipped examples, on
+    the upper half-plane written as two touching quadrants, and on
+    exp(x2) > 1 against its complement."""
+    box = [[-10.0, -10.0], [10.0, 10.0]]
+    up = Halfspace([0.0, -1.0], 0.0, False)
+    quadrants = Classifier(2, {
+        "A": UnionOfPolytopes((HPolytope((up, Halfspace([-1.0, 0.0], 0.0, False))),
+                               HPolytope((up, Halfspace([1.0, 0.0], 0.0))))),
+        "B": Halfspace([0.0, 1.0], 0.0)}, domain_box=box)
+    exp_pair = Classifier(2, {"P": analytic("exp(x2) > 1", 2),
+                              "N": analytic("exp(x2) <= 1", 2)}, domain_box=box)
+    cases = [(name, load_builtin(name), want)
+             for name, want in (("linear.json", True),
+                                ("generalized_linear.json", True),
+                                ("fig3.json", False))]
+    cases += [("two_quadrant_union", quadrants, True), ("exp_analytic_pair", exp_pair, True)]
     lines, ok = [], True
-    for name, want in (("linear.json", True),
-                       ("generalized_linear.json", True),
-                       ("fig3.json", False)):
-        v = is_generalized_binary_linear(load_builtin(name), seed=seed,
-                                         budget=20_000)
+    for name, C, want in cases:
+        v = is_generalized_binary_linear(C, seed=seed, budget=20_000)
         good = v.is_generalized_binary_linear == want
         ok = ok and good
         line = f"{name}: {v.is_generalized_binary_linear} (want {want})"

@@ -606,8 +606,8 @@ def test_generalized_binary_linear_one_row_polytopes_match_halfspaces():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_generalized_binary_linear_estimates_a_union_label_s_halfspace(seed):
-    # P = {x2 > 0} u {-1 < x2 <= 0} is a union: its boundary direction is
-    # estimated from anchor centers and its offset bisected on samples
+    # P = {x2 > 0} u {-1 < x2 <= 0} is a union: its boundary is fitted to
+    # bisected boundary points, and its open side checked on samples
     P = UnionOfPolytopes((HPolytope((Halfspace([0.0, -1.0], 0.0, False),)),
                           HPolytope((Halfspace([0.0, -1.0], 1.0, False),
                                      Halfspace([0.0, 1.0], 0.0)))))
@@ -621,9 +621,9 @@ def test_generalized_binary_linear_estimates_a_union_label_s_halfspace(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_generalized_binary_linear_strip_union_reaching_a_small_cap(seed):
-    # P = {-5 < x2 < 0} u {0 <= x2 < 5}: no component reaches cap 3, but the
-    # sampled search's ball centred at a deep query point does, so its
-    # ExceedsCap witnesses are all centred there and point in no direction
+    # P = {-5 < x2 < 0} u {0 <= x2 < 5} holds no open halfspace: segments
+    # from P to Q = {|x2| >= 5} end on both of its lines, which no one
+    # hyperplane fits
     P = UnionOfPolytopes((HPolytope((Halfspace([0.0, 1.0], 0.0, False),
                                      Halfspace([0.0, -1.0], 5.0, False))),
                           HPolytope((Halfspace([0.0, -1.0], 0.0),
@@ -631,9 +631,85 @@ def test_generalized_binary_linear_strip_union_reaching_a_small_cap(seed):
     Q = UnionOfPolytopes((HPolytope((Halfspace([0.0, -1.0], -5.0),)),
                           HPolytope((Halfspace([0.0, 1.0], -5.0),))))
     C = Classifier(dimension=2, labels={"P": P, "Q": Q})
-    v = is_generalized_binary_linear(C, seed=seed, cap=3.0)
+    v = is_generalized_binary_linear(C, seed=seed)
     assert not v.is_generalized_binary_linear
-    assert v.reason == "label 'P' admits no open-halfspace certificate"
+    residual = {0: "4.82", 1: "4.54", 2: "4.74", 3: "4.83"}[seed]
+    assert v.reason == f"boundary points not coplanar (residual {residual} > 5.66e-05)"
+
+
+_BOX = [[-10.0, -10.0], [10.0, 10.0]]
+
+
+def _orthant(signs):
+    # {x3 > 0} with x1 and x2 on the given sides: x_i <= 0 closed, x_i > 0 open
+    rows = [Halfspace([0.0, 0.0, -1.0], 0.0, False)]
+    for i, sign in enumerate(signs):
+        rows.append(Halfspace(np.eye(3)[i] * sign, 0.0, sign > 0))
+    return HPolytope(tuple(rows))
+
+
+_NON_CONVEX_PAIRS = {
+    # the upper half-plane written as two quadrants, which touch
+    "quadrants": (Classifier(2, {
+        "A": UnionOfPolytopes((HPolytope((Halfspace([0.0, -1.0], 0.0, False),
+                                          Halfspace([-1.0, 0.0], 0.0, False))),
+                               HPolytope((Halfspace([0.0, -1.0], 0.0, False),
+                                          Halfspace([1.0, 0.0], 0.0))))),
+        "B": Halfspace([0.0, 1.0], 0.0)}, domain_box=_BOX), [0.0, 1.0]),
+    "orthants": (Classifier(3, {
+        "A": UnionOfPolytopes(tuple(_orthant(s) for s in
+                                    ((1, 1), (1, -1), (-1, 1), (-1, -1)))),
+        "B": Halfspace([0.0, 0.0, 1.0], 0.0)}), [0.0, 0.0, 1.0]),
+    "analytic": (Classifier(2, {"P": analytic("x2 > 0", 2),
+                                "N": analytic("x2 <= 0", 2)}, domain_box=_BOX),
+                 [0.0, 1.0]),
+    "exp": (Classifier(2, {"P": analytic("exp(x2) > 1", 2),
+                           "N": analytic("exp(x2) <= 1", 2)}, domain_box=_BOX),
+            [0.0, 1.0]),
+    "tilted": (Classifier(3, {"P": analytic("x1 + 2*x2 - 3*x3 > 1", 3),
+                              "N": analytic("x1 + 2*x2 - 3*x3 <= 1", 3)}),
+               [1.0, 2.0, -3.0]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(_NON_CONVEX_PAIRS))
+def test_generalized_binary_linear_fits_a_non_convex_label_s_boundary(case, seed):
+    C, normal = _NON_CONVEX_PAIRS[case]
+    v = is_generalized_binary_linear(C, seed=seed)
+    assert v.is_generalized_binary_linear, v.reason
+    assert _angle(v.hyperplane.a, normal) <= 1e-3
+
+
+def test_generalized_binary_linear_answers_unprobed_labels_without_raising():
+    v = is_generalized_binary_linear(load_builtin("fig1.json"), seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "4 full-dimensional labels, need exactly 2"
+    # an analytic label that no probe lands in may be negligible or not
+    C = Classifier(2, {"P": analytic("x2 > 0 and x1 <= 1e6", 2),
+                       "N": analytic("x2 <= 0 and x1 <= 1e6", 2),
+                       "far": analytic("x1 > 1e6", 2)}, domain_box=_BOX)
+    v = is_generalized_binary_linear(C, seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "cannot decide negligibility of label 'far'"
+    # a union label above the box has no probe to bisect from
+    up = HPolytope((Halfspace([0.0, -1.0], -100.0, False),))
+    C = Classifier(2, {"P": UnionOfPolytopes((up, up)),
+                       "Q": Halfspace([0.0, 1.0], 100.0)}, domain_box=_BOX)
+    v = is_generalized_binary_linear(C, seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "no probe landed in label 'P'"
+    with pytest.raises(ValueError, match="budget"):
+        is_generalized_binary_linear(load_builtin("linear.json"), budget=-1)
+
+
+def test_generalized_binary_linear_makes_no_coverage_query(monkeypatch):
+    points = _counting_queries(monkeypatch)
+    for C, _ in _NON_CONVEX_PAIRS.values():
+        for seed in range(3):
+            is_generalized_binary_linear(C, seed=seed)
+    v = is_generalized_binary_linear(load_builtin("fig3.json"), seed=0)
+    assert not v.is_generalized_binary_linear and points == []
 
 
 def test_generalized_binary_linear_needs_ordinary_classifier():
