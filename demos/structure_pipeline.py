@@ -2,9 +2,10 @@
 
 Starts with a binary linear classifier, moves its decision boundary into a
 refinement set, and shows that the structure classifier then recognizes the
-refined-linear shape and recovers the separating hyperplane. A curved
-classifier is shown for contrast: bounded coverage at some probe rules the
-shape out.
+refined-linear shape and reports the separating hyperplane, with the label
+on its positive side first. A curved classifier is shown for contrast: a
+third label on a boundary segment, or more than two labels, rules the shape
+out.
 
 Run:  python3 demos/structure_pipeline.py
 """

@@ -4,15 +4,18 @@ classifier, negligibility, and generalized-binary-linear recognition.
 
 All "infinite coverage" talk here means ExceedsCap at the configured cap:
 verdicts are empirical evidence gathered from finitely many probes, not
-proofs, and they carry the cap used. A probe inside the open halfspace that
-its convex label holds is read from the label's rows, where coverage is
-unbounded; the other probes are coverage queries.
+proofs, and they carry the cap used.
 
-Both verdicts find a boundary one way (_fit_boundary): bisect segments
-between two labels' probes and fit a hyperplane to their ends. The
-generalized test makes no coverage query: a convex label's halfspace is
-read from its rows, and a union or analytic label must hold the open side
-of the fitted hyperplane on sampled checks.
+Both verdicts ask one question (_halfspace_split): do two labels hold the
+two open sides of one hyperplane? A convex label's halfspace is read from
+its rows; a union or analytic label must hold its side of the hyperplane
+_fit_boundary fits to bisected boundary points, on sampled checks. Yes is
+refined_linear (or True): the canonical hyperplane (Hyperplane.unit), the
+label on its positive side first. classify_structure also answers
+not_refined_linear on an exact zero or bounded coverage at a probe, a third
+label or a boundary that is not coplanar; trivial on one label; and
+inconclusive on no probe or a label budget 0 cannot sample. A coverage
+lower bound never decides a verdict.
 """
 
 from __future__ import annotations
@@ -181,23 +184,16 @@ def refine_boundary(C: Classifier) -> Classifier:
         else:
             raise UnsupportedRegion("existing refinement set must be polytopal")
 
-    # dedupe pieces against each other and the existing set
-    seen = set()
-
-    def dedupe(seq):
-        out = []
-        for p in seq:
-            key = _piece_key(p)
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-        return out
-
-    kept_existing = dedupe(existing)
-    new_pieces = dedupe(pieces)
-    if existing and not new_pieces:
+    # dedupe pieces against each other and the existing set, keeping the first
+    kept = {}
+    for p in existing:
+        kept.setdefault(_piece_key(p), p)
+    n_existing = len(kept)
+    for p in pieces:
+        kept.setdefault(_piece_key(p), p)
+    if existing and len(kept) == n_existing:
         return C  # refinement set already covers every boundary piece
-    all_pieces = tuple(kept_existing + new_pieces)
+    all_pieces = tuple(kept.values())
     refinement = all_pieces[0] if len(all_pieces) == 1 else UnionOfPolytopes(all_pieces)
     return Classifier(dimension=C.dimension, labels=new_labels,
                       refinement_set=refinement, domain_box=C.domain_box,
@@ -349,12 +345,14 @@ def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
 
 def _fit_boundary(C: Classifier, probes, la, lb):
     """The hyperplane between labels la and lb, fitted to the ends of
-    max(n + 1, 8) segments that pair their probes (both labels need one) in
-    turn, bisected by _bisect_boundaries. Returns (hyperplane, None, None),
-    else (None, point, reason) at the first segment that meets a third
-    label, or (None, None, reason) when the ends are not coplanar."""
+    max(n + 1, 8) segments that pair their probes in turn, bisected by
+    _bisect_boundaries. Returns (hyperplane, None, None), else (None, point,
+    reason) at the first segment that meets a third label, or (None, None,
+    reason) when a label has no probe or the ends are not coplanar."""
     group_a = [p for p, n in probes if n == la]
     group_b = [p for p, n in probes if n == lb]
+    if not (group_a and group_b):
+        return None, None, f"no probe landed in label {(lb if group_a else la)!r}"
     want = max(C.dimension + 1, 8)
     ends = _bisect_boundaries(C, [(group_a[k % len(group_a)], group_b[k % len(group_b)])
                                   for k in range(want)], la, lb)
@@ -373,28 +371,74 @@ def _fit_boundary(C: Classifier, probes, la, lb):
     return Hyperplane(normal, float(normal @ centroid)), None, None
 
 
+def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int,
+                     fitted: Hyperplane | None = None) -> StructureVerdict:
+    """Whether labels la and lb hold the two open sides of one hyperplane,
+    as a verdict without a cap. A convex label's halfspace is read from its
+    rows (_held_halfspace); a union or analytic label must hold its first
+    probe's side of the hyperplane `fitted` (else fitted here) by
+    _fit_boundary on budget samples (_halfspace_in), or else, when budget
+    < 1 cannot sample it, the split is "inconclusive". Read boundaries agree
+    to rounding, a fitted one to 1e-3. "refined_linear" carries the
+    canonical hyperplane, read where it can be, and la, lb in side order."""
+    convex = [isinstance(C.labels[n], (Halfspace, HPolytope)) for n in (la, lb)]
+    held = []  # per label the (u, beta) of the open halfspace {u.p < beta} it holds
+    for name, read in zip((la, lb), convex):
+        if read:
+            held.append(_held_halfspace(C.labels[name]))
+        elif budget < 1:
+            reason = f"label {name!r} cannot be sampled at budget {budget}"
+            return StructureVerdict("inconclusive", reason=reason)
+        else:
+            if fitted is None:
+                fitted, _, reason = _fit_boundary(C, probes, la, lb)
+                if fitted is None:
+                    return StructureVerdict("not_refined_linear", reason=reason)
+            # the fitted normal is a unit vector, and the side is the label's first probe's
+            first = next(p for p, n in probes if n == name)
+            d = fitted.a if fitted.signed_distance(first) > 0 else -fitted.a
+            ok = _halfspace_in(C, C.labels[name], fitted.b * fitted.a, d, budget, seed).ok
+            held.append((-d, -fitted.b * float(d @ fitted.a)) if ok else None)
+        if held[-1] is None:
+            reason = f"label {name!r} admits no open-halfspace certificate"
+            return StructureVerdict("not_refined_linear", reason=reason)
+    (ua, ba), (ub, bb) = held
+    tol = 1e-12 if all(convex) else 1e-3  # rounding, or the fit's
+    if np.linalg.norm(ua + ub) > tol or abs(ba + bb) > max(tol * C.diameter, 1e-9):
+        return StructureVerdict("not_refined_linear",
+                                reason="halfspace boundaries do not coincide")
+    # la lies on the positive side of both {-ua.p = -ba} and {ub.p = bb}
+    hyp = Hyperplane(-ua, -ba) if convex == [True, False] else Hyperplane(ub, bb)
+    u, c = hyp.unit()
+    # adding 0.0 makes a negative zero positive, so that none is printed
+    return StructureVerdict("refined_linear", hyperplane=Hyperplane(u + 0.0, c + 0.0),
+                            label_pair=(la, lb) if u @ hyp.a > 0 else (lb, la))
+
+
 def classify_structure(C: Classifier, probe_count: int = 30,
                        cap: float | None = None, budget: int = 20_000,
                        seed: int = 0, tol: float | None = None) -> StructureVerdict:
-    """Empirical refined-linear test: probe coverage everywhere, then (if
-    every probe exceeds the cap with exactly two labels) recover the
-    separating hyperplane from bisection-located boundary points.
+    """Empirical refined-linear test on probe_count feature-space probes.
+    "trivial": they carry one label. "not_refined_linear": an exact zero or
+    bounded coverage answer at a probe, a third label among the probes or
+    on a boundary segment, boundary points that are not coplanar, or two
+    labels that fail _halfspace_split. Else _halfspace_split's verdict:
+    "refined_linear" (a convex label's halfspace read from its rows, the
+    label on the positive side listed first) or "inconclusive" (a label
+    budget 0 cannot sample; also when no probe is found).
 
-    A probe deeper than the exact route's zero margin inside its label's
-    held halfspace (_held_halfspace, read at the label's first probe)
-    exceeds every cap and makes no coverage query; the "more than two
-    labels" verdict queries the third label's first probe on demand, with
-    that probe's seed. Verdicts are those that querying every probe gives."""
+    A lower bound never decides: analytic labels are not queried, a union
+    label not after its first lower_bound answer, and a probe deeper than
+    the exact route's zero margin inside its convex label's held halfspace
+    exceeds every cap unqueried. The "more than two labels" verdict queries
+    the third label's first probe, with that probe's seed, on demand."""
     cap, tol = resolve_limits(C, cap, tol, budget)
     rng = np.random.default_rng(seed)
     probes = _feature_space_probes(C, probe_count, rng)
     if not probes:
         return StructureVerdict("inconclusive", cap=cap,
                                 reason="no feature-space probes found")
-    seen = []
-    for _, name in probes:
-        if name not in seen:
-            seen.append(name)
+    seen = list(dict.fromkeys(name for _, name in probes))  # in order of first probe
     if len(seen) == 1:
         return StructureVerdict("trivial", cap=cap, label_pair=(seen[0],))
 
@@ -403,8 +447,12 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                            seed=seed * 1_000_003 + i, tol=tol)
 
     held = {}  # label -> its held halfspace (u, beta) or None, read at its first probe
-    results = []  # None where the probe lies inside its label's held halfspace
+    unqueried = {n for n, r in C.labels.items() if isinstance(r, AnalyticRegion)}
+    results = []  # None where a probe is not queried
     for i, (p, name) in enumerate(probes):
+        if name in unqueried:
+            results.append(None)
+            continue
         if name not in held:
             held[name] = _held_halfspace(C.labels[name])
         if held[name] is not None:
@@ -415,7 +463,9 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                 continue
         res = query(i)
         results.append(res)
-        if res.kind in ("zero", "bounded"):
+        if res.method != "exact":  # a union label's lower bound
+            unqueried.add(name)
+        elif res.kind in ("zero", "bounded"):
             return StructureVerdict("not_refined_linear", cap=cap, witness=p,
                                     coverage=res, reason="bounded coverage at probe")
 
@@ -428,34 +478,13 @@ def classify_structure(C: Classifier, probe_count: int = 30,
 
     la, lb = seen
     hyp, pt, reason = _fit_boundary(C, probes, la, lb)
-    if pt is not None:
-        res = coverage_at(C, pt, cap=cap, budget=budget, seed=seed, tol=tol)
+    if hyp is None:  # pt is a third label's point on a segment, else None
+        res = None if pt is None else coverage_at(C, pt, cap=cap, budget=budget,
+                                                  seed=seed, tol=tol)
         return StructureVerdict("not_refined_linear", cap=cap, witness=pt,
                                 coverage=res, reason=reason)
-    if hyp is None:
-        return StructureVerdict("inconclusive", cap=cap, reason=reason)
-
-    # side-consistency on fresh probes
-    fresh = _feature_space_probes(C, 2 * probe_count, rng)
-    side_label = {}
-    for p, name in fresh:
-        s = hyp.signed_distance(p)
-        if abs(s) <= 1e-9 * C.diameter:
-            continue
-        side = 1 if s > 0 else -1
-        if side in side_label:
-            if side_label[side] != name:
-                return StructureVerdict(
-                    "inconclusive", cap=cap,
-                    reason="labels not consistent with hyperplane sides")
-        else:
-            side_label[side] = name
-    if len(side_label) == 2 and side_label[1] == side_label[-1]:
-        return StructureVerdict("inconclusive", cap=cap,
-                                reason="labels not separated by fitted hyperplane")
-    pair = (side_label.get(1, la), side_label.get(-1, lb))
-    return StructureVerdict("refined_linear", cap=cap, hyperplane=hyp,
-                            label_pair=pair)
+    split = _halfspace_split(C, probes, la, lb, budget, seed, fitted=hyp)
+    return dataclasses.replace(split, cap=cap)
 
 
 # --- negligibility and generalized binary linear ---------------------------
@@ -493,12 +522,11 @@ def _held_halfspace(region):
     return None
 
 
-def _same_hyperplane(h1: Hyperplane, h2: Hyperplane, scale: float,
-                     angle_tol: float = 1e-6) -> bool:
+def _same_hyperplane(h1: Hyperplane, h2: Hyperplane, scale: float, tol: float) -> bool:
     u1, c1 = h1.unit()
     u2, c2 = h2.unit()
-    return (float(np.linalg.norm(u1 - u2)) <= angle_tol
-            and abs(c1 - c2) <= max(angle_tol * scale, 1e-9))
+    return (float(np.linalg.norm(u1 - u2)) <= tol
+            and abs(c1 - c2) <= max(tol * scale, 1e-9))
 
 
 def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
@@ -508,14 +536,11 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
     maximal open halfspace, the two halfspace boundaries coincide, and all
     negligible labels lie inside that shared hyperplane.
 
-    Convex labels are read from their rows (_held_halfspace) and need no
-    probes; a classifier of convex labels draws none. Otherwise probe_count
-    feature-space probes are drawn. An analytic label is full-dimensional
-    when a probe lands in it, else the verdict is False. A union or
-    analytic full label takes the hyperplane that _fit_boundary fits
-    between the two full labels, and holds the open side of its first
-    probe when budget samples (_halfspace_in) find no point outside it.
-    No coverage query is made."""
+    Convex labels need no probes, and a classifier of them draws none.
+    Otherwise probe_count probes are drawn: an analytic label is
+    full-dimensional when one lands in it, else the verdict is False. The
+    two full labels must pass _halfspace_split, whose reason a False
+    verdict gives. No coverage query is made."""
     if not C.ordinary:
         raise ValueError("generalized-binary-linear test expects an ordinary classifier")
     if budget < 0:
@@ -538,34 +563,9 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
         return GeneralizedLinearVerdict(
             False, reason=f"{len(full)} full-dimensional labels, need exactly 2")
 
-    hyps, fitted = [], None
-    for name in full:
-        region = C.labels[name]
-        if isinstance(region, (Halfspace, HPolytope)):
-            held = _held_halfspace(region)
-            hyp = None if held is None else Hyperplane(*held)
-        else:
-            if fitted is None:
-                unseen = [n for n in full if n not in seen]
-                if unseen:
-                    return GeneralizedLinearVerdict(
-                        False, reason=f"no probe landed in label {unseen[0]!r}")
-                fitted, _, reason = _fit_boundary(C, probes, *full)
-                if fitted is None:
-                    return GeneralizedLinearVerdict(False, reason=reason)
-            # the fitted normal is a unit vector, and the side is its label's first probe's
-            first = next(p for p, n in probes if n == name)
-            d = fitted.a if fitted.signed_distance(first) > 0 else -fitted.a
-            ok = _halfspace_in(C, region, fitted.b * fitted.a, d, budget, seed).ok
-            hyp = fitted if ok else None
-        if hyp is None:
-            return GeneralizedLinearVerdict(
-                False, reason=f"label {name!r} admits no open-halfspace certificate")
-        hyps.append(hyp)
-    if not _same_hyperplane(hyps[0], hyps[1], C.diameter, angle_tol=1e-3):
-        return GeneralizedLinearVerdict(
-            False, reason="halfspace boundaries do not coincide")
-    main = hyps[0]
+    split = _halfspace_split(C, probes, *full, budget, seed)
+    if (main := split.hyperplane) is None:  # only a refined_linear split carries one
+        return GeneralizedLinearVerdict(False, reason=split.reason)
 
     for name in negligible:
         region = C.labels[name]
@@ -573,8 +573,7 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
                   else (region,))
         for piece in pieces:
             forced = _forced_hyperplane(piece)
-            if forced is None or not _same_hyperplane(forced, main, C.diameter,
-                                                      angle_tol=1e-6):
+            if forced is None or not _same_hyperplane(forced, main, C.diameter, 1e-6):
                 return GeneralizedLinearVerdict(
                     False, reason=f"negligible label {name!r} lies off the "
                                   f"separating hyperplane")

@@ -255,8 +255,19 @@ def criterion_6(seed: int):
                            f"worst_final_angle_rad: {_fmt(worst_final)}"]
 
 
+def two_quadrant_union() -> Classifier:
+    """The upper half-plane written as two touching quadrants, a union
+    label, against the closed lower half-plane on [-10, 10]^2."""
+    up = Halfspace([0.0, -1.0], 0.0, False)
+    return Classifier(2, {
+        "A": UnionOfPolytopes((HPolytope((up, Halfspace([-1.0, 0.0], 0.0, False))),
+                               HPolytope((up, Halfspace([1.0, 0.0], 0.0))))),
+        "B": Halfspace([0.0, 1.0], 0.0)}, domain_box=[[-10.0, -10.0], [10.0, 10.0]])
+
+
 def criterion_7(seed: int):
-    """Structure verdicts across the shipped classifiers."""
+    """Structure verdicts across the shipped classifiers and the upper
+    half-plane written as two touching quadrants."""
     lines, ok = [], True
 
     def check(name, verdict, want_kind, want_normal=None):
@@ -299,6 +310,9 @@ def criterion_7(seed: int):
           classify_structure(load_builtin("trivial.json"), probe_count=8,
                              budget=20_000, seed=seed),
           "trivial")
+    check("two_quadrant_union",
+          classify_structure(two_quadrant_union(), probe_count=20, budget=20_000, seed=seed),
+          "refined_linear", want_normal=[0.0, 1.0])
     return ok, lines
 
 
@@ -323,19 +337,15 @@ def criterion_9(seed: int):
     """Generalized-binary-linear recognition on the shipped examples, on
     the upper half-plane written as two touching quadrants, and on
     exp(x2) > 1 against its complement."""
-    box = [[-10.0, -10.0], [10.0, 10.0]]
-    up = Halfspace([0.0, -1.0], 0.0, False)
-    quadrants = Classifier(2, {
-        "A": UnionOfPolytopes((HPolytope((up, Halfspace([-1.0, 0.0], 0.0, False))),
-                               HPolytope((up, Halfspace([1.0, 0.0], 0.0))))),
-        "B": Halfspace([0.0, 1.0], 0.0)}, domain_box=box)
     exp_pair = Classifier(2, {"P": analytic("exp(x2) > 1", 2),
-                              "N": analytic("exp(x2) <= 1", 2)}, domain_box=box)
+                              "N": analytic("exp(x2) <= 1", 2)},
+                          domain_box=[[-10.0, -10.0], [10.0, 10.0]])
     cases = [(name, load_builtin(name), want)
              for name, want in (("linear.json", True),
                                 ("generalized_linear.json", True),
                                 ("fig3.json", False))]
-    cases += [("two_quadrant_union", quadrants, True), ("exp_analytic_pair", exp_pair, True)]
+    cases += [("two_quadrant_union", two_quadrant_union(), True),
+              ("exp_analytic_pair", exp_pair, True)]
     lines, ok = [], True
     for name, C, want in cases:
         v = is_generalized_binary_linear(C, seed=seed, budget=20_000)

@@ -431,6 +431,23 @@ def _refined_pair(rng, n):
                                           "Q": Halfspace(-a, -b, True)}))
 
 
+def test_refined_linear_verdicts_list_the_positive_side_first():
+    cases = []
+    for name in SHIPPED:
+        cases += [load_builtin(name), refine_boundary(load_builtin(name))]
+    rng = np.random.default_rng(5)
+    cases += [_refined_pair(rng, n) for n in (2, 3, 4, 5) for _ in range(3)]
+    found = 0
+    for C in cases:
+        d = classify_structure(C, seed=0).to_dict()
+        if d["kind"] == "refined_linear":
+            u, c = np.array(d["hyperplane"]["a"]), d["hyperplane"]["b"]
+            # the points at distance 1 on either side of the printed hyperplane
+            assert [label_of(C, (c + s) * u) for s in (1.0, -1.0)] == d["labels"]
+            found += 1
+    assert found == 18
+
+
 def _counting_queries(monkeypatch):
     """Patch structure.coverage_at to record the point of every query."""
     points = []
@@ -473,26 +490,30 @@ def test_classify_queries_a_probe_within_the_zero_margin(monkeypatch):
     assert [p.tolist() for p in points] == [[1.0, -1e-13]] == [v.witness.tolist()]
 
 
-def _verdict_fields(v):
-    hyp = v.hyperplane
-    return (v.kind, v.reason, v.label_pair,
-            None if hyp is None else (hyp.a.tobytes(), hyp.b),
-            None if v.witness is None else v.witness.tobytes(),
-            None if v.coverage is None else v.coverage.describe())
-
-
-def test_classify_reads_held_halfspaces_with_the_queried_verdict(monkeypatch):
-    cases = []
+def test_classify_skips_only_probes_that_exceed_every_cap(monkeypatch):
+    # a probe deep inside its convex label's held halfspace is read from the
+    # rows, not queried: queried anyway, it answers exact exceeds_cap
+    points = _counting_queries(monkeypatch)
+    kinds, skipped = set(), 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         for n in (2, 3, 4, 5):
-            cases.append((_refined_pair(rng, n), seed))
-            cases.append((refine_boundary(random_slab_classifier(rng, n=n, k=3)), seed))
-    read = [_verdict_fields(classify_structure(C, seed=seed)) for C, seed in cases]
-    monkeypatch.setattr(structure, "_held_halfspace", lambda region: None)
-    queried = [_verdict_fields(classify_structure(C, seed=seed)) for C, seed in cases]
-    assert read == queried
-    assert {f[0] for f in read} == {"refined_linear", "not_refined_linear"}
+            for C in (_refined_pair(rng, n),
+                      refine_boundary(random_slab_classifier(rng, n=n, k=3))):
+                points.clear()
+                v = classify_structure(C, seed=seed)
+                kinds.add(v.kind)
+                queried = {p.tobytes() for p in points}
+                probes = _feature_space_probes(C, 30, np.random.default_rng(seed))
+                if v.reason == "bounded coverage at probe":  # no later probe is visited
+                    last = [p.tobytes() for p, _ in probes].index(v.witness.tobytes())
+                    probes = probes[:last]
+                for i, (p, _) in enumerate(probes):
+                    if p.tobytes() not in queried:
+                        res = coverage_at(C, p, cap=v.cap, seed=seed * 1_000_003 + i)
+                        assert (res.kind, res.method) == ("exceeds_cap", "exact")
+                        skipped += 1
+    assert kinds == {"refined_linear", "not_refined_linear"} and skipped > 1000
 
 
 def test_classify_more_than_two_labels_queries_the_third_label_s_probe():
@@ -679,6 +700,32 @@ def test_generalized_binary_linear_fits_a_non_convex_label_s_boundary(case, seed
     v = is_generalized_binary_linear(C, seed=seed)
     assert v.is_generalized_binary_linear, v.reason
     assert _angle(v.hyperplane.a, normal) <= 1e-3
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(_NON_CONVEX_PAIRS))
+def test_classify_splits_a_non_convex_pair(monkeypatch, case, seed, refine):
+    # a union label is queried once: its lower bound decides nothing, and
+    # an analytic label is not queried
+    C, normal = _NON_CONVEX_PAIRS[case]
+    C = refine_boundary(C) if refine else C
+    points = _counting_queries(monkeypatch)
+    v = classify_structure(C, seed=seed)
+    assert v.kind == "refined_linear", v.reason
+    assert _angle(v.hyperplane.a, normal) <= 1e-3
+    unions = any(isinstance(r, UnionOfPolytopes) for r in C.labels.values())
+    assert len(points) == unions
+
+
+def test_a_label_that_cannot_be_sampled_holds_no_side():
+    C, _ = _NON_CONVEX_PAIRS["analytic"]
+    v = is_generalized_binary_linear(C, seed=0, budget=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "label 'P' cannot be sampled at budget 0"
+    v = classify_structure(C, seed=0, budget=0)
+    assert v.kind == "inconclusive"  # N is the first label probed at seed 0
+    assert v.reason == "label 'N' cannot be sampled at budget 0"
 
 
 def test_generalized_binary_linear_answers_unprobed_labels_without_raising():
