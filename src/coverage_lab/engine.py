@@ -179,8 +179,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     Raises ExactUnsupported for a region that is not convex.
     """
     x = as_point(x)
-    if not 0 < tol < cap:
-        raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
+    _check_limits(cap, tol)
     tol = float(tol)  # a numpy tol would make the probe radii numpy scalars
     P = as_polytope(region)
     if not P.contains(x):
@@ -415,14 +414,24 @@ class _SampledSearch:
         return Anchor(Ball(c, r), self.x, self.label, cert)
 
 
+def _check_limits(cap: float, tol: float) -> None:
+    """ValueError unless cap and tol are finite, 0 < tol < cap and cap <=
+    2**50 * tol. Above that bound the float spacing near the cap exceeds
+    tol / 4, and the exact search could not close its bracket."""
+    if not (math.isfinite(cap) and math.isfinite(tol) and 0 < tol < cap):
+        raise ValueError(f"need finite 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
+    if cap > 2**50 * tol:
+        raise ValueError(f"need cap <= 2**50 * tol = {2**50 * tol:g}, "
+                         f"got cap={cap:g} and tol={tol:g}")
+
+
 def resolve_limits(C: Classifier, cap: float | None, tol: float | None,
                    budget: int) -> tuple[float, float]:
     """The (cap, tol) of a query on C, defaults filled in. ValueError unless
-    0 < tol < cap and budget >= 0."""
+    _check_limits passes and budget >= 0."""
     cap = default_cap(C) if cap is None else float(cap)
     tol = default_tol(C) if tol is None else float(tol)
-    if not 0 < tol < cap:
-        raise ValueError(f"need 0 < tol < cap, got tol={tol:g} and cap={cap:g}")
+    _check_limits(cap, tol)
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     return cap, tol

@@ -2,20 +2,17 @@
 direction estimation, halfspace certificates, the refined-linear structure
 classifier, negligibility, and generalized-binary-linear recognition.
 
-All "infinite coverage" talk here means ExceedsCap at the configured cap:
-verdicts are empirical evidence gathered from finitely many probes, not
-proofs, and they carry the cap used.
-
-Both verdicts ask one question (_halfspace_split): do two labels hold the
-two open sides of one hyperplane? A convex label's halfspace is read from
-its rows; a union or analytic label must hold its side of the hyperplane
-_fit_boundary fits to bisected boundary points, on sampled checks. Yes is
-refined_linear (or True): the canonical hyperplane (Hyperplane.unit), the
-label on its positive side first. classify_structure also answers
-not_refined_linear on an exact zero or bounded coverage at a probe, a third
-label or a boundary that is not coplanar; trivial on one label; and
-inconclusive on no probe or a label budget 0 cannot sample. A coverage
-lower bound never decides a verdict.
+Coverage is unbounded exactly where a label holds an open halfspace, so
+both verdicts ask one question of the geometry (_halfspace_split): do two
+labels hold the two open sides of one hyperplane? A convex label's
+halfspace is read from its rows; a union or analytic label must hold its
+side of the hyperplane _fit_boundary fits to bisected boundary points, on
+sampled checks. Yes is refined_linear (or True): the canonical hyperplane
+(Hyperplane.unit), the label on its positive side first. classify_structure
+also answers not_refined_linear on a third label or a boundary that is not
+coplanar, trivial on one label, and inconclusive on no probe or a label
+budget 0 cannot sample. No coverage answer decides a verdict. The verdicts
+rest on finitely many probes and samples: evidence, not proofs.
 """
 
 from __future__ import annotations
@@ -37,7 +34,10 @@ from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
 
 @dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class StructureVerdict:
-    """RefinedLinear | NotRefinedLinear | TrivialClassifier | Inconclusive."""
+    """A classify_structure verdict at `cap`. refined_linear carries the
+    hyperplane and label_pair, positive side first; not_refined_linear a
+    reason, the witness it names if any, and the witness's exact zero or
+    bounded coverage if measured; trivial its label; inconclusive a reason."""
 
     kind: str  # "refined_linear" | "not_refined_linear" | "trivial" | "inconclusive"
     cap: float | None = None
@@ -337,7 +337,8 @@ def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
             elif name == lb:
                 hi[i] = m
             else:
-                ends[i] = (p, None if name in (REFINEMENT, None) else name)
+                # a view would pin pts in a verdict that keeps the point
+                ends[i] = (p.copy(), None if name in (REFINEMENT, None) else name)
         running = np.array([i for i in running if ends[i] is None], dtype=int)
     return [(pa[i] + 0.5 * (lo[i] + hi[i]) * seg[i], None) if end is None else end
             for i, end in enumerate(ends)]
@@ -418,73 +419,46 @@ def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int,
 def classify_structure(C: Classifier, probe_count: int = 30,
                        cap: float | None = None, budget: int = 20_000,
                        seed: int = 0, tol: float | None = None) -> StructureVerdict:
-    """Empirical refined-linear test on probe_count feature-space probes.
-    "trivial": they carry one label. "not_refined_linear": an exact zero or
-    bounded coverage answer at a probe, a third label among the probes or
-    on a boundary segment, boundary points that are not coplanar, or two
-    labels that fail _halfspace_split. Else _halfspace_split's verdict:
-    "refined_linear" (a convex label's halfspace read from its rows, the
-    label on the positive side listed first) or "inconclusive" (a label
-    budget 0 cannot sample; also when no probe is found).
+    """Refined-linear test on probe_count feature-space probes, decided
+    from geometry alone. "trivial": they carry one label.
+    "not_refined_linear": a third label among them or on a boundary
+    segment, boundary points that are not coplanar, or two labels that fail
+    _halfspace_split. Else _halfspace_split's verdict: "refined_linear" or
+    "inconclusive" (also when no probe is found).
 
-    A lower bound never decides: analytic labels are not queried, a union
-    label not after its first lower_bound answer, and a probe deeper than
-    the exact route's zero margin inside its convex label's held halfspace
-    exceeds every cap unqueried. The "more than two labels" verdict queries
-    the third label's first probe, with that probe's seed, on demand."""
+    A not_refined_linear witness is the point its reason names, if any,
+    unless the first probe of a convex label that holds no open halfspace
+    answers an exact zero or bounded coverage: then that probe is the
+    witness, with that coverage. It is the one coverage query, bounded by
+    cap and tol; budget is the split's sample count."""
     cap, tol = resolve_limits(C, cap, tol, budget)
-    rng = np.random.default_rng(seed)
-    probes = _feature_space_probes(C, probe_count, rng)
+    probes = _feature_space_probes(C, probe_count, np.random.default_rng(seed))
     if not probes:
         return StructureVerdict("inconclusive", cap=cap,
                                 reason="no feature-space probes found")
     seen = list(dict.fromkeys(name for _, name in probes))  # in order of first probe
     if len(seen) == 1:
         return StructureVerdict("trivial", cap=cap, label_pair=(seen[0],))
-
-    def query(i):
-        return coverage_at(C, probes[i][0], cap=cap, budget=budget,
-                           seed=seed * 1_000_003 + i, tol=tol)
-
-    held = {}  # label -> its held halfspace (u, beta) or None, read at its first probe
-    unqueried = {n for n, r in C.labels.items() if isinstance(r, AnalyticRegion)}
-    results = []  # None where a probe is not queried
-    for i, (p, name) in enumerate(probes):
-        if name in unqueried:
-            results.append(None)
-            continue
-        if name not in held:
-            held[name] = _held_halfspace(C.labels[name])
-        if held[name] is not None:
-            u, beta = held[name]
-            # the exact route's zero margin: further in, every cap is exceeded
-            if beta - float(u @ p) > 1e-12 * (1.0 + abs(beta) + float(np.linalg.norm(p))):
-                results.append(None)
-                continue
-        res = query(i)
-        results.append(res)
-        if res.method != "exact":  # a union label's lower bound
-            unqueried.add(name)
-        elif res.kind in ("zero", "bounded"):
-            return StructureVerdict("not_refined_linear", cap=cap, witness=p,
-                                    coverage=res, reason="bounded coverage at probe")
-
     if len(seen) > 2:
-        third = seen[2]
-        idx = next(i for i, (_, n) in enumerate(probes) if n == third)
-        return StructureVerdict("not_refined_linear", cap=cap,
-                                witness=probes[idx][0], coverage=results[idx] or query(idx),
-                                reason=f"more than two labels observed ({seen})")
-
-    la, lb = seen
-    hyp, pt, reason = _fit_boundary(C, probes, la, lb)
-    if hyp is None:  # pt is a third label's point on a segment, else None
-        res = None if pt is None else coverage_at(C, pt, cap=cap, budget=budget,
-                                                  seed=seed, tol=tol)
-        return StructureVerdict("not_refined_linear", cap=cap, witness=pt,
-                                coverage=res, reason=reason)
-    split = _halfspace_split(C, probes, la, lb, budget, seed, fitted=hyp)
-    return dataclasses.replace(split, cap=cap)
+        verdict = StructureVerdict("not_refined_linear",
+                                   witness=next(p for p, n in probes if n == seen[2]),
+                                   reason=f"more than two labels observed ({seen})")
+    else:
+        hyp, pt, reason = _fit_boundary(C, probes, *seen)
+        if hyp is None:  # pt is a third label's point on a segment, else None
+            verdict = StructureVerdict("not_refined_linear", witness=pt, reason=reason)
+        else:
+            verdict = _halfspace_split(C, probes, *seen, budget, seed, fitted=hyp)
+    if verdict.kind == "not_refined_linear":
+        # a convex label that holds no open halfspace has bounded coverage
+        unheld = {n for n in seen if isinstance(C.labels[n], (Halfspace, HPolytope))
+                  and _held_halfspace(C.labels[n]) is None}
+        p = next((p for p, n in probes if n in unheld), None)
+        if p is not None:
+            res = coverage_at(C, p, cap=cap, tol=tol)  # exact: the label is convex
+            if res.kind in ("zero", "bounded"):
+                verdict = dataclasses.replace(verdict, witness=p, coverage=res)
+    return dataclasses.replace(verdict, cap=cap)
 
 
 # --- negligibility and generalized binary linear ---------------------------

@@ -152,6 +152,15 @@ def test_coverage_tol_not_below_cap_exit_2(capsys, spec_path_factory, limits):
     assert "0 < tol < cap" in err
 
 
+@pytest.mark.parametrize("cap", ["1e14", "inf"])
+def test_coverage_cap_beyond_the_float_spacing_exit_2(capsys, spec_path_factory, cap):
+    spec = spec_path_factory("linear.json")
+    code, out, err = run_cli(capsys, "coverage", "--classifier", spec,
+                             "--point=0,3", "--cap", cap)
+    assert code == 2 and not out
+    assert f"cap={float(cap):g}" in err
+
+
 def test_coverage_negative_budget_exit_2(capsys, spec_path_factory):
     spec = spec_path_factory("fig1.json")
     code, out, err = run_cli(capsys, "coverage", "--classifier", spec,

@@ -1,6 +1,9 @@
 """Unit tests for the coverage engine: exact convex route, sampled route,
 result ordering, and anchor certification."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,40 @@ def test_query_needs_tol_below_cap(cap, tol):
             coverage_at(C, [5.0, 0.0], cap=cap, budget=1_000, tol=tol)
         with pytest.raises(ValueError, match="0 < tol < cap"):
             compute_field(C, [[5.0, 0.0]], cap=cap, budget=1_000, tol=tol)
+
+
+@pytest.mark.parametrize("cap", [float("inf"), 1e14])
+def test_query_rejects_a_cap_the_exact_route_cannot_resolve(cap):
+    # above 2**50 tol the float spacing near the cap exceeds tol / 4: the
+    # bisection at 1e14 never closed its bracket, and inf found no probe
+    linear = load_builtin("linear.json")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"cap={cap:g}")):
+        coverage_at(linear, [0.0, 3.0], cap=cap)
+    with pytest.raises(ValueError, match=re.escape(f"cap={cap:g}")):
+        coverage_exact_convex([0.0, 3.0], linear.labels["M"], cap=cap,
+                              tol=engine.default_tol(linear))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cap,tol", [(float("nan"), 1e-6), (1.0, float("nan")),
+                                     (float("inf"), float("inf"))])
+def test_query_rejects_limits_that_are_not_finite(cap, tol):
+    with pytest.raises(ValueError, match="finite 0 < tol < cap"):
+        coverage_exact_convex([0.5, 0.5], unit_box(), cap=cap, tol=tol)
+
+
+def test_a_cap_of_2_to_the_50_tol_still_answers():
+    tol = 1e-6
+    cap = 2**50 * tol
+    res = coverage_at(load_builtin("linear.json"), [0.0, 3.0], cap=cap, tol=tol)
+    assert (res.kind, res.method, res.cap) == ("exceeds_cap", "exact", cap)
+    # a bracket that closes near the cap, where the float spacing is tol / 8
+    R = 0.75 * cap
+    box = HPolytope(tuple(Halfspace(a, R) for a in ([1.0, 0.0], [-1.0, 0.0],
+                                                    [0.0, 1.0], [0.0, -1.0])))
+    res = coverage_exact_convex([0.5 * R, 0.1 * R], box, cap, tol)
+    assert res.kind == "bounded" and R - tol <= res.radius <= R
 
 
 def test_small_cap_or_large_tol_is_no_silent_zero():

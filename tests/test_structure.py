@@ -277,11 +277,17 @@ def test_classify_trivial():
 
 
 def test_classify_not_refined_linear_bounded_witness():
+    # a slab holds no open halfspace: its first probe is the witness, with
+    # its exact bounded coverage
+    C = random_slab_classifier(np.random.default_rng(3), k=3)
+    v = classify_structure(C, probe_count=12, budget=20_000, seed=0)
+    assert v.kind == "not_refined_linear" and label_of(C, v.witness) == "slab0"
+    assert (v.coverage.kind, v.coverage.method) == ("bounded", "exact")
+    # fig3's labels are unions, so its verdict names no witness
     v = classify_structure(load_builtin("fig3.json"), probe_count=8,
                            budget=20_000, seed=0)
     assert v.kind == "not_refined_linear"
-    assert v.witness is not None
-    assert v.coverage is not None and v.coverage.kind in ("zero", "bounded")
+    assert v.witness is None and v.coverage is None
 
 
 def test_classify_not_refined_linear_many_labels():
@@ -382,7 +388,7 @@ def test_classify_thin_slab_names_the_first_segment_that_meets_it():
     group_b = [p for p, n in probes if n == lb]
     p, other = _bisect_boundary(C, group_a[0], group_b[0], la, lb)
     assert other == "M" and p.tobytes() == v.witness.tobytes()
-    assert v.coverage is not None and v.coverage.kind in ("zero", "bounded")
+    assert v.coverage is None  # L and R hold halfspaces, and M has no probe
 
 
 def test_lockstep_bisection_stops_on_refinement_and_unlabelled_points():
@@ -477,24 +483,27 @@ def test_classify_slab_queries_only_the_middle_label(monkeypatch, n):
     assert points[0].tobytes() == v.witness.tobytes()
 
 
-def test_classify_queries_a_probe_within_the_zero_margin(monkeypatch):
-    # (1, -1e-13) lies inside A's halfspace, but within the exact route's
-    # zero margin: it is queried, and its zero coverage decides
+def test_classify_splits_a_pair_with_a_probe_within_the_zero_margin(monkeypatch):
+    # (1, -1e-13) lies within the exact route's zero margin of A's facet,
+    # where a coverage query answers zero; the rows still show that A and B
+    # hold the two sides of x2 = 0, and no query is made
     C = Classifier(2, {"A": Halfspace([0.0, 1.0], 0.0, True),
                        "B": Halfspace([0.0, -1.0], 0.0, False)})
     batch = np.array([[3.0, -1.0], [1.0, -1e-13], [2.0, 1.0]])
     monkeypatch.setattr(structure, "sample_box", lambda box, rng, count: batch.copy())
     points = _counting_queries(monkeypatch)
     v = classify_structure(C, probe_count=3)
-    assert v.reason == "bounded coverage at probe" and v.coverage.kind == "zero"
-    assert [p.tolist() for p in points] == [[1.0, -1e-13]] == [v.witness.tolist()]
+    assert v.kind == "refined_linear" and v.label_pair == ("B", "A")
+    assert v.hyperplane.unit()[0].tolist() == [0.0, 1.0] and points == []
 
 
-def test_classify_skips_only_probes_that_exceed_every_cap(monkeypatch):
-    # a probe deep inside its convex label's held halfspace is read from the
-    # rows, not queried: queried anyway, it answers exact exceeds_cap
+def test_classify_queries_only_a_convex_label_without_a_halfspace(monkeypatch):
+    # refined pairs are read from their rows with no query; a refined
+    # slab's verdict queries only slab0's first probe, the one label that
+    # holds no open halfspace. The first probe of a label that holds one
+    # answers exact exceeds_cap, so skipping it loses no evidence
     points = _counting_queries(monkeypatch)
-    kinds, skipped = set(), 0
+    kinds = set()
     for seed in range(10):
         rng = np.random.default_rng(seed)
         for n in (2, 3, 4, 5):
@@ -503,44 +512,49 @@ def test_classify_skips_only_probes_that_exceed_every_cap(monkeypatch):
                 points.clear()
                 v = classify_structure(C, seed=seed)
                 kinds.add(v.kind)
-                queried = {p.tobytes() for p in points}
                 probes = _feature_space_probes(C, 30, np.random.default_rng(seed))
-                if v.reason == "bounded coverage at probe":  # no later probe is visited
-                    last = [p.tobytes() for p, _ in probes].index(v.witness.tobytes())
-                    probes = probes[:last]
-                for i, (p, _) in enumerate(probes):
-                    if p.tobytes() not in queried:
-                        res = coverage_at(C, p, cap=v.cap, seed=seed * 1_000_003 + i)
-                        assert (res.kind, res.method) == ("exceeds_cap", "exact")
-                        skipped += 1
-    assert kinds == {"refined_linear", "not_refined_linear"} and skipped > 1000
+                firsts = {n: p for p, n in reversed(probes)}
+                if v.kind == "refined_linear":
+                    assert points == [] and v.coverage is None
+                if "slab0" in firsts:
+                    assert [p.tobytes() for p in points] == [firsts["slab0"].tobytes()]
+                    assert v.witness.tobytes() == points[0].tobytes()
+                    assert (v.coverage.kind, v.coverage.method) == ("bounded", "exact")
+                for name in firsts.keys() - {"slab0"}:
+                    res = coverage_at(C, firsts[name], cap=v.cap)
+                    assert (res.kind, res.method) == ("exceeds_cap", "exact")
+    assert kinds == {"refined_linear", "not_refined_linear"}
 
 
-def test_classify_more_than_two_labels_queries_the_third_label_s_probe():
-    # every probe exceeds cap 2, so the verdict is the label count; the
-    # third label seen is R, whose probes lie inside its held halfspace
+def test_classify_more_than_two_labels_names_the_third_label_s_probe(monkeypatch):
+    # M holds no halfspace, so its first probe is queried, but at cap 2 it
+    # exceeds the cap: the witness is then the first probe of R, the third
+    # label seen, with no coverage
     e = np.array([1.0, 0.0])
     C = Classifier(2, {"L": Halfspace(e, -15.0, False),
                        "M": HPolytope((Halfspace(-e, 15.0, True), Halfspace(e, 15.0, True))),
                        "R": Halfspace(-e, -15.0, False)},
                    domain_box=[[-20.0, -20.0], [20.0, 20.0]])
+    points = _counting_queries(monkeypatch)
     v = classify_structure(C, cap=2.0, seed=0)
     assert v.reason == "more than two labels observed (['M', 'L', 'R'])"
     probes = _feature_space_probes(C, 30, np.random.default_rng(0))
+    assert [p.tobytes() for p in points] == [probes[0][0].tobytes()]
+    assert coverage_at(C, probes[0][0], cap=2.0).kind == "exceeds_cap"
     i = next(i for i, (_, name) in enumerate(probes) if name == "R")
-    assert probes[i][0].tobytes() == v.witness.tobytes()
-    # the probe's own seed, seed * 1_000_003 + i at seed 0
-    want = coverage_at(C, probes[i][0], cap=2.0, budget=20_000, seed=i)
-    assert v.coverage.kind == "exceeds_cap"
-    assert v.coverage.describe() == want.describe()
-    assert ([w.ball.radius for w in v.coverage.witnesses]
-            == [w.ball.radius for w in want.witnesses])
+    assert probes[i][0].tobytes() == v.witness.tobytes() and v.coverage is None
 
 
 def test_verdicts_hold_no_views_of_larger_arrays():
-    # a probe or fitted normal that is a row view keeps its whole array alive
-    v = classify_structure(load_builtin("fig3.json"), probe_count=8, seed=0)
-    assert v.kind == "not_refined_linear" and v.witness.base is None
+    # a probe, segment point or fitted normal that is a row view keeps its
+    # whole array alive
+    fig1 = load_builtin("fig1.json")
+    v = classify_structure(fig1, probe_count=8, seed=0)
+    assert v.reason == "third label 'D' on boundary segment" and v.witness.base is None
+    v = classify_structure(fig1, seed=0)
+    assert v.reason.startswith("more than two labels") and v.witness.base is None
+    v = classify_structure(random_slab_classifier(np.random.default_rng(3), k=3), seed=0)
+    assert v.coverage.kind == "bounded" and v.witness.base is None
     v = classify_structure(load_builtin("refined_linear.json"), seed=0)
     assert v.kind == "refined_linear" and v.hyperplane.a.base is None
     u, _ = structure._held_halfspace(HPolytope((Halfspace([0.0, 2.0], 1.0),)))
@@ -706,16 +720,54 @@ def test_generalized_binary_linear_fits_a_non_convex_label_s_boundary(case, seed
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(_NON_CONVEX_PAIRS))
 def test_classify_splits_a_non_convex_pair(monkeypatch, case, seed, refine):
-    # a union label is queried once: its lower bound decides nothing, and
-    # an analytic label is not queried
+    # the split decides from the geometry alone: no label is queried
     C, normal = _NON_CONVEX_PAIRS[case]
     C = refine_boundary(C) if refine else C
     points = _counting_queries(monkeypatch)
     v = classify_structure(C, seed=seed)
     assert v.kind == "refined_linear", v.reason
     assert _angle(v.hyperplane.a, normal) <= 1e-3
-    unions = any(isinstance(r, UnionOfPolytopes) for r in C.labels.values())
-    assert len(points) == unions
+    assert points == []
+
+
+def test_classify_query_audit(monkeypatch):
+    # the shipped specs, the non-convex pairs (each plain and refined) and
+    # 15 seeded slab and quadrant classifiers, at seeds 0-2: no verdict but
+    # not_refined_linear queries, and it queries at most once, at a probe
+    # of a convex label that holds no halfspace; what it attaches is exact
+    shipped = {"fig1.json": "not_refined_linear", "fig3.json": "not_refined_linear",
+               "trivial.json": "trivial"}
+    cases = [(C, (shipped.get(name, "refined_linear"),) * 3)
+             for name in SHIPPED
+             for C in (load_builtin(name), refine_boundary(load_builtin(name)))]
+    # at seed 2 a bisection midpoint lands on generalized_linear's ray label
+    cases[SHIPPED.index("generalized_linear.json") * 2] = (
+        load_builtin("generalized_linear.json"),
+        ("refined_linear", "refined_linear", "not_refined_linear"))
+    cases += [(C, ("refined_linear",) * 3) for C0, _ in _NON_CONVEX_PAIRS.values()
+              for C in (C0, refine_boundary(C0))]
+    for i in range(15):
+        cases += [(random_slab_classifier(np.random.default_rng(i), n=2 + i % 3),
+                   ("not_refined_linear",) * 3),
+                  (random_quadrant_classifier(np.random.default_rng(i)),
+                   ("not_refined_linear",) * 3)]
+    points = _counting_queries(monkeypatch)
+    attached = 0
+    for C, kinds in cases:
+        for seed, kind in enumerate(kinds):
+            points.clear()
+            v = classify_structure(C, seed=seed)
+            assert v.kind == kind
+            assert len(points) <= (v.kind == "not_refined_linear")
+            for p in points:
+                region = C.labels[label_of(C, p)]
+                assert isinstance(region, (Halfspace, HPolytope))
+                assert structure._held_halfspace(region) is None
+            if v.coverage is not None:
+                assert v.coverage.method == "exact"
+                assert v.coverage.kind in ("zero", "bounded")
+                attached += 1
+    assert len(cases) * 3 == 156 and attached > 80
 
 
 def test_a_label_that_cannot_be_sampled_holds_no_side():
