@@ -1,4 +1,5 @@
-"""Recursive-descent parser and evaluator for analytic region predicates.
+"""Recursive-descent parser, printer and evaluator for analytic region
+predicates.
 
 Grammar (lowest to highest precedence)::
 
@@ -18,6 +19,10 @@ Numeric literals must be finite. Comparisons appear only above arithmetic
 subtrees; boolean operators only above comparisons. Arithmetic follows IEEE
 semantics, but any non-finite intermediate raises EvalError instead of
 silently comparing.
+
+One table, _LEVELS, lists the levels from "or" to unary minus. It drives
+both the parser, which reads one level per step, and unparse, which
+parenthesizes a child whose level is looser than its place needs.
 
 A Predicate compiles its tree once, when it is made, into a tree of
 closures, and each evaluation runs them under one floating-point error
@@ -137,6 +142,23 @@ def _tokenize(text: str):
 
 # --- parser ----------------------------------------------------------------
 
+# One row per precedence level, loosest first: its operators, the node it
+# builds, whether its operands are boolean, and its form. A "left" level
+# chains its operator left-associatively, a "single" level applies it at
+# most once, and a "prefix" level nests it. Atoms bind tighter than every
+# level; the tightest level is a prefix one.
+_LEVELS = (
+    (("or",), BoolOp, True, "left"),
+    (("and",), BoolOp, True, "left"),
+    (("not",), Not, True, "prefix"),
+    (CMP_OPS, Cmp, False, "single"),
+    (("+", "-"), Arith, False, "left"),
+    (("*", "/"), Arith, False, "left"),
+    (("-",), Neg, False, "prefix"),
+)
+_ATOM = len(_LEVELS)
+
+
 class _Parser:
     def __init__(self, text: str, dimension: int):
         if not text.strip():
@@ -160,85 +182,33 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Expr:
-        e = self.parse_or()
+        e = self.parse_level(0)
         kind, val, off = self.peek()
         if kind != "eof":
             raise DslSyntaxError(f"trailing input {val!r}", off)
         return e
 
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self._at_name("or"):
+    def parse_level(self, i: int) -> Expr:
+        """An expression at precedence level i of _LEVELS or tighter. Each
+        level costs one frame, so that nesting depth meets the recursion
+        limit where one method per level would."""
+        ops, node, boolean, form = _LEVELS[i]
+        if form == "prefix":
+            if not self._at(*ops):
+                return self.parse_level(i + 1) if i + 1 < _ATOM else self.parse_atom()
             _, _, off = self.next()
-            r = self.parse_and()
-            self._require_bool(e, off)
-            self._require_bool(r, off)
-            e = BoolOp("or", e, r)
+            e = self.parse_level(i)
+            self._require(boolean, off, e)
+            return node(e)
+        e = self.parse_level(i + 1)
+        while self._at(*ops):
+            _, op, off = self.next()
+            r = self.parse_level(i + 1)
+            self._require(boolean, off, e, r)
+            e = node(op, e, r)
+            if form == "single":
+                break
         return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_not()
-        while self._at_name("and"):
-            _, _, off = self.next()
-            r = self.parse_not()
-            self._require_bool(e, off)
-            self._require_bool(r, off)
-            e = BoolOp("and", e, r)
-        return e
-
-    def parse_not(self) -> Expr:
-        if self._at_name("not"):
-            _, _, off = self.next()
-            e = self.parse_not()
-            self._require_bool(e, off)
-            return Not(e)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        e = self.parse_sum()
-        kind, val, off = self.peek()
-        if kind == "op" and val in CMP_OPS:
-            self.next()
-            r = self.parse_sum()
-            self._require_num(e, off)
-            self._require_num(r, off)
-            return Cmp(val, e, r)
-        return e
-
-    def parse_sum(self) -> Expr:
-        e = self.parse_term()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.next()
-                r = self.parse_term()
-                self._require_num(e, off)
-                self._require_num(r, off)
-                e = Arith(val, e, r)
-            else:
-                return e
-
-    def parse_term(self) -> Expr:
-        e = self.parse_unary()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.next()
-                r = self.parse_unary()
-                self._require_num(e, off)
-                self._require_num(r, off)
-                e = Arith(val, e, r)
-            else:
-                return e
-
-    def parse_unary(self) -> Expr:
-        kind, val, off = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            e = self.parse_unary()
-            self._require_num(e, off)
-            return Neg(e)
-        return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         kind, val, off = self.next()
@@ -248,7 +218,7 @@ class _Parser:
                 raise DslSyntaxError(f"numeric literal {val} is not finite", off)
             return Num(value)
         if kind == "op" and val == "(":
-            e = self.parse_or()
+            e = self.parse_level(0)
             self.expect_op(")")
             return e
         if kind == "name":
@@ -260,14 +230,14 @@ class _Parser:
                 raise DslSyntaxError(f"unexpected keyword {val!r}", off)
             if val in FUNCTIONS:
                 self.expect_op("(")
-                args = [self.parse_or()]
-                while self._at_op(","):
+                args = [self.parse_level(0)]
+                while self._at(","):
                     self.next()
-                    args.append(self.parse_or())
+                    args.append(self.parse_level(0))
                 self.expect_op(")")
                 if len(args) != 1:
                     raise ArityError(f"{val} takes 1 argument, got {len(args)}")
-                self._require_num(args[0], off)
+                self._require(False, off, args[0])
                 return Call(val, args[0])
             m = re.fullmatch(r"x(\d+)", val)
             if m:
@@ -279,23 +249,16 @@ class _Parser:
             raise UnknownIdentifier(f"unknown identifier {val!r}")
         raise DslSyntaxError(f"unexpected token {val or 'end of input'!r}", off)
 
-    def _at_name(self, name):
-        kind, val, _ = self.peek()
-        return kind == "name" and val == name
-
-    def _at_op(self, op):
-        kind, val, _ = self.peek()
-        return kind == "op" and val == op
+    def _at(self, *ops) -> bool:
+        # no number, name or end of input is spelled like an operator or keyword
+        return self.peek()[1] in ops
 
     @staticmethod
-    def _require_bool(e, off):
-        if not is_boolean(e):
-            raise DslTypeError(f"boolean operand expected (at byte {off})")
-
-    @staticmethod
-    def _require_num(e, off):
-        if is_boolean(e):
-            raise DslTypeError(f"arithmetic operand expected (at byte {off})")
+    def _require(boolean: bool, off: int, *operands):
+        for e in operands:
+            if is_boolean(e) != boolean:
+                kind = "boolean" if boolean else "arithmetic"
+                raise DslTypeError(f"{kind} operand expected (at byte {off})")
 
 
 def parse(text: str, dimension: int) -> Expr:
@@ -305,27 +268,18 @@ def parse(text: str, dimension: int) -> Expr:
 
 # --- printer ---------------------------------------------------------------
 
-_LEVEL = {"or": 1, "and": 2, "not": 3, "cmp": 4, "add": 5, "mul": 6, "neg": 7, "atom": 8}
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, BoolOp):
-        return _LEVEL[e.op]
-    if isinstance(e, Not):
-        return _LEVEL["not"]
-    if isinstance(e, Cmp):
-        return _LEVEL["cmp"]
-    if isinstance(e, Arith):
-        return _LEVEL["add"] if e.op in "+-" else _LEVEL["mul"]
-    if isinstance(e, Neg):
-        return _LEVEL["neg"]
-    return _LEVEL["atom"]
-
-
 def _fmt_num(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
+
+
+def _level(e: Expr) -> int:
+    """The index in _LEVELS of the level that builds e; _ATOM for an atom."""
+    for i, (ops, node, _, form) in enumerate(_LEVELS):
+        if isinstance(e, node) and (form == "prefix" or e.op in ops):
+            return i
+    return _ATOM
 
 
 def unparse(e: Expr) -> str:
@@ -341,26 +295,21 @@ def unparse(e: Expr) -> str:
         return f"x{e.index}"
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
-    if isinstance(e, Neg):
-        inner = unparse(e.operand)
-        if _level(e.operand) < _LEVEL["neg"]:
-            inner = f"({inner})"
-        # avoid "--x" gluing into one token stream ambiguity
-        return f"-{inner}" if not inner.startswith("-") else f"-({unparse(e.operand)})"
     if isinstance(e, Call):
         return f"{e.func}({unparse(e.arg)})"
-    if isinstance(e, Arith):
-        lvl = _level(e)
-        return f"{wrap(e.left, lvl)} {e.op} {wrap(e.right, lvl + 1)}"
-    if isinstance(e, Cmp):
-        lvl = _LEVEL["cmp"]
-        return f"{wrap(e.left, lvl + 1)} {e.op} {wrap(e.right, lvl + 1)}"
-    if isinstance(e, Not):
-        return f"not {wrap(e.operand, _LEVEL['not'])}"
-    if isinstance(e, BoolOp):
-        lvl = _level(e)
-        return f"{wrap(e.left, lvl)} {e.op} {wrap(e.right, lvl + 1)}"
-    raise TypeError(f"not an expression node: {e!r}")
+    i = _level(e)
+    if i == _ATOM:
+        raise TypeError(f"not an expression node: {e!r}")
+    ops, _, _, form = _LEVELS[i]
+    if form != "prefix":
+        # a left operand may share a "left" level; a right one, and both of
+        # a "single" level, bind tighter
+        return f"{wrap(e.left, i + (form == 'single'))} {e.op} {wrap(e.right, i + 1)}"
+    inner = wrap(e.operand, i)
+    if ops == ("not",):
+        return f"not {inner}"
+    # avoid "--x" gluing into one token stream ambiguity
+    return f"-({inner})" if inner.startswith("-") else f"-{inner}"
 
 
 # --- evaluation ------------------------------------------------------------

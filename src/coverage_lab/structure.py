@@ -9,10 +9,11 @@ halfspace is read from its rows; a union or analytic label must hold its
 side of the hyperplane _fit_boundary fits to bisected boundary points, on
 sampled checks. Yes is refined_linear (or True): the canonical hyperplane
 (Hyperplane.unit), the label on its positive side first. classify_structure
-also answers not_refined_linear on a third label or a boundary that is not
-coplanar, trivial on one label, and inconclusive on no probe or a label
-budget 0 cannot sample. No coverage answer decides a verdict. The verdicts
-rest on finitely many probes and samples: evidence, not proofs.
+also answers not_refined_linear on a third label (on a boundary segment,
+one that is not negligible) or a boundary that is not coplanar, trivial
+on one label, and inconclusive on no probe or a label budget 0 cannot
+sample. No coverage answer decides a verdict. The verdicts rest on
+finitely many probes and samples: evidence, not proofs.
 """
 
 from __future__ import annotations
@@ -105,27 +106,19 @@ def _piece_key(p: HPolytope) -> tuple:
                             np.round(p.b, 9).tolist(), p.closed.tolist())))
 
 
-def _strictify_expr(e):
+def _recompare(e, ops):
+    """Predicate e with each comparison's operator replaced by its entry in
+    ops, if any: {"<=": "<", ">=": ">"} gives a label's strict version and
+    {"<": "<=", ">": ">="} its closure. Raises UnsupportedRegion on an
+    equality, a 'not', or a node that is not boolean."""
     if isinstance(e, dsl.Cmp):
-        op = {"<=": "<", ">=": ">"}.get(e.op, e.op)
-        if op == "==":
+        if e.op == "==":
             raise UnsupportedRegion("cannot refine an equality predicate label")
-        return dsl.Cmp(op, e.left, e.right)
+        return dsl.Cmp(ops.get(e.op, e.op), e.left, e.right)
     if isinstance(e, dsl.BoolOp):
-        return dsl.BoolOp(e.op, _strictify_expr(e.left), _strictify_expr(e.right))
+        return dsl.BoolOp(e.op, _recompare(e.left, ops), _recompare(e.right, ops))
     if isinstance(e, dsl.Not):
         raise UnsupportedRegion("cannot refine predicates containing 'not'")
-    if isinstance(e, dsl.BoolLit):
-        return e
-    raise UnsupportedRegion(f"cannot refine predicate node {type(e).__name__}")
-
-
-def _closure_expr(e):
-    if isinstance(e, dsl.Cmp):
-        op = {"<": "<=", ">": ">="}.get(e.op, e.op)
-        return dsl.Cmp(op, e.left, e.right)
-    if isinstance(e, dsl.BoolOp):
-        return dsl.BoolOp(e.op, _closure_expr(e.left), _closure_expr(e.right))
     if isinstance(e, dsl.BoolLit):
         return e
     raise UnsupportedRegion(f"cannot refine predicate node {type(e).__name__}")
@@ -205,11 +198,11 @@ def _refine_analytic(C: Classifier) -> Classifier:
     boundary_terms = []
     for name, region in C.labels.items():
         expr = region.predicate.expr
-        strict = _strictify_expr(expr)
+        strict = _recompare(expr, {"<=": "<", ">=": ">"})
         new_labels[name] = AnalyticRegion(
             dsl.Predicate(strict, C.dimension))
-        boundary_terms.append(
-            dsl.BoolOp("and", _closure_expr(expr), dsl.Not(strict)))
+        boundary_terms.append(dsl.BoolOp(
+            "and", _recompare(expr, {"<": "<=", ">": ">="}), dsl.Not(strict)))
     combined = boundary_terms[0]
     for term in boundary_terms[1:]:
         combined = dsl.BoolOp("or", combined, term)
@@ -257,13 +250,18 @@ def halfspace_certificate(C: Classifier, x, direction, budget: int = 20_000,
                           seed: int = 0) -> Certificate:
     """Test whether the open halfspace {p : direction.(p - x) > 0} lies
     inside the label region of x: exact for convex labels, sampled (box
-    plus far field) otherwise."""
+    plus far field) otherwise. A direction whose norm is zero or overflows
+    raises ValueError."""
     x = as_point(x)
     name = label_of(C, x)
     if name == REFINEMENT:
         raise RefinementPoint("certificate base point lies in the refinement set")
     d = as_point(direction)
-    return _halfspace_in(C, C.labels[name], x, d / float(np.linalg.norm(d)), budget, seed)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(d))
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"direction must have a nonzero finite norm, got {norm}")
+    return _halfspace_in(C, C.labels[name], x, d / norm, budget, seed)
 
 
 def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certificate:
@@ -347,9 +345,12 @@ def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
 def _fit_boundary(C: Classifier, probes, la, lb):
     """The hyperplane between labels la and lb, fitted to the ends of
     max(n + 1, 8) segments that pair their probes in turn, bisected by
-    _bisect_boundaries. Returns (hyperplane, None, None), else (None, point,
-    reason) at the first segment that meets a third label, or (None, None,
-    reason) when a label has no probe or the ends are not coplanar."""
+    _bisect_boundaries. A segment that meets a negligible label ends on it,
+    as on the boundary; an analytic third label is never negligible here.
+    Returns (hyperplane, None, None), else (None, point, reason) at the
+    first segment that meets a third label that is not negligible, or
+    (None, None, reason) when a label has no probe or the ends are not
+    coplanar."""
     group_a = [p for p, n in probes if n == la]
     group_b = [p for p, n in probes if n == lb]
     if not (group_a and group_b):
@@ -358,7 +359,8 @@ def _fit_boundary(C: Classifier, probes, la, lb):
     ends = _bisect_boundaries(C, [(group_a[k % len(group_a)], group_b[k % len(group_b)])
                                   for k in range(want)], la, lb)
     for pt, other in ends:  # the first segment that meets a third label decides
-        if other is not None:
+        if other is not None and (isinstance(C.labels[other], AnalyticRegion)
+                                  or not is_negligible_region(C.labels[other])):
             return None, pt, f"third label {other!r} on boundary segment"
     points = np.array([pt for pt, _ in ends])
     centroid = points.mean(axis=0)
@@ -421,9 +423,9 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                        seed: int = 0, tol: float | None = None) -> StructureVerdict:
     """Refined-linear test on probe_count feature-space probes, decided
     from geometry alone. "trivial": they carry one label.
-    "not_refined_linear": a third label among them or on a boundary
-    segment, boundary points that are not coplanar, or two labels that fail
-    _halfspace_split. Else _halfspace_split's verdict: "refined_linear" or
+    "not_refined_linear": a third label among them, or one that is not
+    negligible on a boundary segment, boundary points that are not
+    coplanar, or two labels that fail _halfspace_split. Else _halfspace_split's verdict: "refined_linear" or
     "inconclusive" (also when no probe is found).
 
     A not_refined_linear witness is the point its reason names, if any,

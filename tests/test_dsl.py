@@ -83,6 +83,39 @@ def test_type_errors():
         parse2("not x1 < 1 + true")
 
 
+# one missing operand and one operand of the wrong kind per precedence
+# level, loosest first, and per prefix operator
+_MALFORMED = [
+    ("x1 < 1 or", DslSyntaxError, "unexpected token 'end of input'", 9),
+    ("x1 < 1 or x2", DslTypeError, "boolean operand expected", 7),
+    ("and x1 < 1", DslSyntaxError, "unexpected keyword 'and'", 0),
+    ("x1 and x2 < 1", DslTypeError, "boolean operand expected", 3),
+    ("not", DslSyntaxError, "unexpected token 'end of input'", 3),
+    ("not x1", DslTypeError, "boolean operand expected", 0),
+    ("x1 < 1 and not 2", DslTypeError, "boolean operand expected", 11),
+    ("x1 < 2 < 3", DslSyntaxError, "trailing input '<'", 7),  # one comparison
+    ("x1 < (x2 < 1)", DslTypeError, "arithmetic operand expected", 3),
+    ("x1 + < 1", DslSyntaxError, "unexpected token '<'", 5),
+    ("x1 + true < 1", DslTypeError, "arithmetic operand expected", 3),
+    ("x1 * < 1", DslSyntaxError, "unexpected token '<'", 5),
+    ("x1 / (x2 > 1) < 1", DslTypeError, "arithmetic operand expected", 3),
+    ("x1 < -", DslSyntaxError, "unexpected token 'end of input'", 6),
+    ("-(x1 < 1)", DslTypeError, "arithmetic operand expected", 0),
+    ("- - true", DslTypeError, "arithmetic operand expected", 2),
+    ("sin x1 < 0", DslSyntaxError, "expected '(', got 'x1'", 4),
+    ("sin(x1 < 1) < 0", DslTypeError, "arithmetic operand expected", 0),
+]
+
+
+@pytest.mark.parametrize("text, error, message, offset", _MALFORMED)
+def test_parse_error_per_level(text, error, message, offset):
+    with pytest.raises(error) as exc:
+        parse2(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (at byte {offset})"
+    assert getattr(exc.value, "offset", offset) == offset
+
+
 def test_predicate_requires_boolean_root():
     with pytest.raises(DslTypeError):
         dsl.Predicate(dsl.Arith("+", dsl.Var(1), dsl.Num(1.0)), 2)
@@ -348,3 +381,29 @@ def test_unparse_known_forms():
     for text in cases:
         e = dsl.parse(text, 2)
         assert dsl.parse(dsl.unparse(e), 2) == e
+
+
+def test_unparse_parenthesizes_per_level():
+    a, b, c = (dsl.Cmp("<", dsl.Var(i), dsl.Num(0.0)) for i in (1, 2, 3))
+    x1, x2, x3 = dsl.Var(1), dsl.Var(2), dsl.Var(3)
+    cases = [
+        (dsl.BoolOp("or", dsl.BoolOp("or", a, b), c), "x1 < 0 or x2 < 0 or x3 < 0"),
+        (dsl.BoolOp("or", a, dsl.BoolOp("or", b, c)), "x1 < 0 or (x2 < 0 or x3 < 0)"),
+        (dsl.BoolOp("and", dsl.BoolOp("or", a, b), c), "(x1 < 0 or x2 < 0) and x3 < 0"),
+        (dsl.BoolOp("or", a, dsl.BoolOp("and", b, c)), "x1 < 0 or x2 < 0 and x3 < 0"),
+        (dsl.Not(dsl.BoolOp("and", a, b)), "not (x1 < 0 and x2 < 0)"),
+        (dsl.Not(dsl.Not(a)), "not not x1 < 0"),
+        (dsl.BoolOp("and", dsl.Not(a), b), "not x1 < 0 and x2 < 0"),
+        (dsl.Cmp("<=", dsl.Arith("-", x1, dsl.Num(1.0)), dsl.Neg(x2)), "x1 - 1 <= -x2"),
+        (dsl.Cmp("<", dsl.Arith("-", dsl.Arith("-", x1, x2), x3), x1), "x1 - x2 - x3 < x1"),
+        (dsl.Cmp("<", dsl.Arith("-", x1, dsl.Arith("-", x2, x3)), x1), "x1 - (x2 - x3) < x1"),
+        (dsl.Cmp("<", dsl.Arith("*", dsl.Arith("+", x1, x2), x3), x1), "(x1 + x2) * x3 < x1"),
+        (dsl.Cmp("<", dsl.Arith("/", x1, dsl.Arith("*", x2, x3)), x1), "x1 / (x2 * x3) < x1"),
+        (dsl.Cmp("<", dsl.Neg(dsl.Arith("*", x1, x2)), x3), "-(x1 * x2) < x3"),
+        (dsl.Cmp("<", dsl.Neg(dsl.Neg(x1)), x3), "-(-x1) < x3"),
+        (dsl.Cmp("<", dsl.Neg(dsl.Call("sin", dsl.Arith("+", x1, x2))), x3), "-sin(x1 + x2) < x3"),
+    ]
+    for e, text in cases:
+        assert dsl.unparse(e) == text and dsl.parse(text, 3) == e
+    # a negative literal prints with its sign, so a minus above it wraps it
+    assert dsl.unparse(dsl.Neg(dsl.Num(-3.0))) == "-(-3)"
