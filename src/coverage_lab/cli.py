@@ -2,7 +2,8 @@
 
 Commands: coverage, field, structure, refine, compare, verify.
 Exit codes: 0 success, 1 verification failure, 2 spec/usage error,
-3 query error (refinement-set point or point outside every label).
+3 query error (refinement-set point or point outside every label),
+141 when the reader of stdout closed the pipe (nothing is reported).
 Reports are one `key: value` pair per line and stable under a fixed seed.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SPEC = 2
 EXIT_QUERY = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
 
 
 def _fmt(x: float) -> str:
@@ -237,7 +240,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        return EXIT_PIPE
     except (RefinementPoint, PointNotInAnyLabel, NoLabel, AmbiguousLabel) as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return EXIT_QUERY
@@ -251,7 +258,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_PIPE:
+        # the interpreter flushes stdout once more at exit: into a closed
+        # pipe that prints "Exception ignored", into devnull nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

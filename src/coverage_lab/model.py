@@ -220,22 +220,20 @@ def sample_box(box: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
     return lo + (hi - lo) * rng.random((m, lo.shape[0]))
 
 
-def validate_partition(C: Classifier, budget: int, seed: int = 0,
-                       box: np.ndarray | None = None,
-                       max_recorded: int = 20) -> PartitionReport:
-    """Sampled partition falsification: every sampled point (plus any
-    declared probe points) must be claimed by exactly one region."""
+def validate_partition(C: Classifier, budget: int, seed: int = 0) -> PartitionReport:
+    """Sampled partition falsification: every point sampled from the domain
+    box (plus any declared probe points) must be claimed by exactly one
+    region. The first 20 violations are recorded, and all are counted."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    box = C.domain_box if box is None else np.asarray(box, dtype=float)
     rng = np.random.default_rng(seed)
-    pts = sample_box(box, rng, budget)
+    pts = sample_box(C.domain_box, rng, budget)
     if C.probe_points:
         pts = np.vstack([pts, np.array(C.probe_points)])
     names, masks = _claims(C, pts)
     bad = np.flatnonzero(masks.sum(axis=0) != 1)
     violations = [(pts[idx], tuple(name for name, claims in zip(names, masks[:, idx]) if claims))
-                  for idx in bad[:max_recorded]]
+                  for idx in bad[:20]]
     return PartitionReport(samples=pts.shape[0], violations=tuple(violations),
                            violation_count=int(bad.size))
 

@@ -81,21 +81,14 @@ class GeneralizedLinearVerdict:
 
 # --- boundary refinement ---------------------------------------------------
 
-def _hyperplane_piece(a: np.ndarray, b: float, extra=()) -> HPolytope:
-    """Degenerate polytope {a.x = b} intersected with extra closed constraints."""
-    eq = (Halfspace(a, b, True), Halfspace(-a, -b, True))
-    return HPolytope(eq + tuple(Halfspace(h.a, h.b, True) for h in extra))
-
-
-def _forced_hyperplane(p: HPolytope):
-    """The hyperplane {a.x = b} that an anti-parallel constraint pair with
-    zero gap forces on p (the pair's first constraint), or None."""
-    gap = np.abs(p.b[:, None] + p.b[None, :]) <= 1e-9
-    pairs = np.argwhere(np.triu((p.A @ p.A.T < -1.0 + 1e-12) & gap, k=1))
-    if not pairs.size:
-        return None
-    i = pairs[0, 0]
-    return Hyperplane(p.A[i], p.b[i])
+def _pieces(region):
+    """The polytopes of a halfspace, polytope or union label, or None for
+    another region."""
+    if isinstance(region, UnionOfPolytopes):
+        return region.polytopes
+    if isinstance(region, (Halfspace, HPolytope)):
+        return (as_polytope(region),)
+    return None
 
 
 def _piece_key(p: HPolytope) -> tuple:
@@ -124,16 +117,12 @@ def _recompare(e, ops):
     raise UnsupportedRegion(f"cannot refine predicate node {type(e).__name__}")
 
 
-def _polytope_open(p: HPolytope) -> HPolytope:
-    return HPolytope(tuple(Halfspace(h.a, h.b, False) for h in p.halfspaces))
-
-
-def _polytope_boundary_pieces(p: HPolytope):
-    pieces = []
-    for i, h in enumerate(p.halfspaces):
-        others = tuple(o for j, o in enumerate(p.halfspaces) if j != i)
-        pieces.append(_hyperplane_piece(h.a, h.b, extra=others))
-    return pieces
+def _boundary_pieces(P: HPolytope) -> list:
+    """Per row of P, the closed piece of its hyperplane {a.x = b} that P's
+    other rows, closed, cut out."""
+    closed = [Halfspace(h.a, h.b, True) for h in P.halfspaces]
+    return [HPolytope([h, Halfspace(-h.a, -h.b, True)] + closed[:i] + closed[i + 1:])
+            for i, h in enumerate(closed)]
 
 
 def refine_boundary(C: Classifier) -> Classifier:
@@ -154,28 +143,20 @@ def refine_boundary(C: Classifier) -> Classifier:
     new_labels = {}
     pieces = []
     for name, region in C.labels.items():
-        if isinstance(region, Halfspace):
-            new_labels[name] = Halfspace(region.a, region.b, False)
-            pieces.append(_hyperplane_piece(region.a, region.b))
-        elif isinstance(region, HPolytope):
-            new_labels[name] = _polytope_open(region)
-            pieces.extend(_polytope_boundary_pieces(region))
-        elif isinstance(region, UnionOfPolytopes):
-            new_labels[name] = UnionOfPolytopes(
-                tuple(_polytope_open(p) for p in region.polytopes))
-            for p in region.polytopes:
-                pieces.extend(_polytope_boundary_pieces(p))
-        else:
+        polytopes = _pieces(region)
+        if polytopes is None:
             raise UnsupportedRegion(f"cannot refine region {type(region).__name__}")
+        opened = tuple(HPolytope(Halfspace(h.a, h.b, False) for h in p.halfspaces)
+                       for p in polytopes)
+        new_labels[name] = (UnionOfPolytopes(opened) if isinstance(region, UnionOfPolytopes)
+                            else Halfspace(region.a, region.b, False)
+                            if isinstance(region, Halfspace) else opened[0])
+        for p in polytopes:
+            pieces.extend(_boundary_pieces(p))
 
-    existing = []
-    if C.refinement_set is not None:
-        if isinstance(C.refinement_set, UnionOfPolytopes):
-            existing = list(C.refinement_set.polytopes)
-        elif isinstance(C.refinement_set, HPolytope):
-            existing = [C.refinement_set]
-        else:
-            raise UnsupportedRegion("existing refinement set must be polytopal")
+    existing = () if C.refinement_set is None else _pieces(C.refinement_set)
+    if existing is None:
+        raise UnsupportedRegion("existing refinement set must be polytopal")
 
     # dedupe pieces against each other and the existing set, keeping the first
     kept = {}
@@ -407,7 +388,7 @@ def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int,
             return StructureVerdict("not_refined_linear", reason=reason)
     (ua, ba), (ub, bb) = held
     tol = 1e-12 if all(convex) else 1e-3  # rounding, or the fit's
-    if np.linalg.norm(ua + ub) > tol or abs(ba + bb) > max(tol * C.diameter, 1e-9):
+    if not _agree((ua, ba), (-ub, -bb), C.diameter, tol):
         return StructureVerdict("not_refined_linear",
                                 reason="halfspace boundaries do not coincide")
     # la lies on the positive side of both {-ua.p = -ba} and {ub.p = bb}
@@ -465,44 +446,53 @@ def classify_structure(C: Classifier, probe_count: int = 30,
 
 # --- negligibility and generalized binary linear ---------------------------
 
+def _forced_hyperplanes(P: HPolytope) -> tuple:
+    """(empty, forced) as P's anti-parallel row pairs show it: a pair with
+    a negative gap makes P empty, and each pair with zero gap forces P into
+    its hyperplane {a.x = b}. An empty interior that no pair shows, as in a
+    point cut by three rows, is not seen (Schrijver 1986, section 7.8)."""
+    i, j = np.nonzero(P.A @ P.A.T < -1.0 + 1e-12)  # anti-parallel unit rows
+    i, j = i[i < j], j[i < j]
+    gaps = (P.b[i] + P.b[j]).tolist()
+    forced = [Hyperplane(P.A[k], P.b[k]) for k, gap in zip(i.tolist(), gaps)
+              if abs(gap) <= 1e-9]
+    return any(gap < -1e-9 for gap in gaps), forced
+
+
+def _agree(h1: tuple, h2: tuple, scale: float, tol: float) -> bool:
+    """Whether two (unit normal, offset) pairs name one hyperplane: their
+    normals within tol, their offsets within max(tol * scale, 1e-9)."""
+    (u1, c1), (u2, c2) = h1, h2
+    return (float(np.linalg.norm(u1 - u2)) <= tol
+            and abs(c1 - c2) <= max(tol * scale, 1e-9))
+
+
 def is_negligible_region(region) -> bool:
-    """True iff every polytope piece has affine dimension < n, detected
-    structurally via forced-equality constraint pairs. Raises
+    """True iff every polytope piece is empty or has a forced hyperplane,
+    as its anti-parallel row pairs show (_forced_hyperplanes). Raises
     UnsupportedRegion for an analytic region."""
     if isinstance(region, Hyperplane):
         return True
     if isinstance(region, Halfspace):
         return False
-    if isinstance(region, HPolytope):
-        return _forced_hyperplane(region) is not None
-    if isinstance(region, UnionOfPolytopes):
-        return all(_forced_hyperplane(p) is not None
-                   for p in region.polytopes)
-    raise UnsupportedRegion(
-        f"negligibility undecidable for {type(region).__name__}")
+    if (pieces := _pieces(region)) is None:
+        raise UnsupportedRegion(
+            f"negligibility undecidable for {type(region).__name__}")
+    return all(empty or forced for empty, forced in map(_forced_hyperplanes, pieces))
 
 
 def _held_halfspace(region):
     """The unit row (u, beta) of the open halfspace {u.p < beta} that a
-    convex label holds, or None (also for a label that is not convex).
+    convex label holds, or None.
 
     A convex label holds an open halfspace exactly when all its unit rows
     are one u, and then the halfspace is u.p < its lowest offset; the
     check reads that from the rows."""
-    if not isinstance(region, (Halfspace, HPolytope)):
-        return None
     P = as_polytope(region)
     i = int(np.argmin(P.b))
     if halfspace_in_region(P.b[i] * P.A[i], -P.A[i], P).ok:
         return P.A[i].copy(), float(P.b[i])  # a view would pin P.A
     return None
-
-
-def _same_hyperplane(h1: Hyperplane, h2: Hyperplane, scale: float, tol: float) -> bool:
-    u1, c1 = h1.unit()
-    u2, c2 = h2.unit()
-    return (float(np.linalg.norm(u1 - u2)) <= tol
-            and abs(c1 - c2) <= max(tol * scale, 1e-9))
 
 
 def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
@@ -543,13 +533,10 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
     if (main := split.hyperplane) is None:  # only a refined_linear split carries one
         return GeneralizedLinearVerdict(False, reason=split.reason)
 
-    for name in negligible:
-        region = C.labels[name]
-        pieces = (region.polytopes if isinstance(region, UnionOfPolytopes)
-                  else (region,))
-        for piece in pieces:
-            forced = _forced_hyperplane(piece)
-            if forced is None or not _same_hyperplane(forced, main, C.diameter, 1e-6):
+    for name in negligible:  # each piece is empty, or one hyperplane it is forced into is main
+        for empty, forced in map(_forced_hyperplanes, _pieces(C.labels[name])):
+            if not (empty or any(_agree(h.unit(), main.unit(), C.diameter, 1e-6)
+                                 for h in forced)):
                 return GeneralizedLinearVerdict(
                     False, reason=f"negligible label {name!r} lies off the "
                                   f"separating hyperplane")

@@ -89,11 +89,11 @@ def random_quadrant_classifier(rng: np.random.Generator) -> Classifier:
 
 
 def growth_anchor_sequence(h: Halfspace, x, rng: np.random.Generator,
-                           count: int = 20, label: str = "label",
-                           jitter: float | None = None):
+                           count: int = 20):
     """Anchor sequence marching along the inward normal of a halfspace at
-    doubling depths, with a fixed lateral offset so the center directions
-    converge to the normal without ever equaling it."""
+    doubling depths, with a fixed lateral offset of a tenth of x's depth
+    so the center directions converge to the normal without ever equaling
+    it."""
     x = as_point(x)
     u = -h.a / h.norm
     d0 = (h.b - float(h.a @ x)) / h.norm
@@ -102,14 +102,14 @@ def growth_anchor_sequence(h: Halfspace, x, rng: np.random.Generator,
     w = rng.standard_normal(x.shape[0])
     w -= (w @ u) * u
     w /= np.linalg.norm(w)
-    eps = (0.1 * d0) if jitter is None else jitter
+    eps = 0.1 * d0
     alpha = 0.5 * d0
     anchors = []
     for i in range(1, count + 1):
         t = d0 * (2.0 ** i)
         c = x + t * u + eps * w
         r = float(np.hypot(t, eps)) + alpha
-        anchors.append(Anchor(Ball(c, r), x, label, ball_in_region(Ball(c, r), h, "exact")))
+        anchors.append(Anchor(Ball(c, r), x, "label", ball_in_region(Ball(c, r), h, "exact")))
     return anchors, u
 
 

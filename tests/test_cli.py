@@ -1,6 +1,8 @@
 """Tests for the command-line interface: subcommands, output, exit codes."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -179,6 +181,18 @@ def test_reserved_label_name_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out
         assert "reserved" in err
+
+
+def test_a_closed_stdout_pipe_exits_141_quietly(capsys, monkeypatch, spec_path_factory):
+    # as `coverage-lab structure ... | true`: the reader left before the report
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["structure", "--classifier", spec_path_factory("linear.json")])
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 # --- field ------------------------------------------------------------------

@@ -288,6 +288,17 @@ def test_classify_trivial():
     assert v.kind == "trivial"
 
 
+def test_classify_without_a_probe_is_inconclusive():
+    # the default box [-20, 20]^2 lies inside the refinement set
+    C = Classifier(dimension=2, labels={"L": Halfspace([1.0, 0.0], -100.0, False),
+                                        "R": Halfspace([-1.0, 0.0], -100.0, False)},
+                   refinement_set=HPolytope((Halfspace([1.0, 0.0], 100.0),
+                                             Halfspace([-1.0, 0.0], 100.0))))
+    v = classify_structure(C, seed=0)
+    assert v.kind == "inconclusive"
+    assert v.reason == "no feature-space probes found"
+
+
 def test_classify_not_refined_linear_bounded_witness():
     # a slab holds no open halfspace: its first probe is the witness, with
     # its exact bounded coverage
@@ -596,6 +607,45 @@ def test_is_negligible_region():
     assert not is_negligible_region(slab)
     assert is_negligible_region(UnionOfPolytopes((line, line)))
     assert not is_negligible_region(UnionOfPolytopes((line, slab)))
+
+
+_EMPTY = HPolytope((Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)))  # x1 <= 0, x1 >= 1
+
+
+def test_generalized_binary_linear_passes_an_empty_label():
+    assert is_negligible_region(_EMPTY)
+    assert is_negligible_region(UnionOfPolytopes((_EMPTY, _EMPTY)))
+    C = Classifier(dimension=2, labels={"up": Halfspace([0.0, -1.0], 0.0, False),
+                                        "down": Halfspace([0.0, 1.0], 0.0), "E": _EMPTY})
+    v = is_generalized_binary_linear(C, seed=0)
+    assert v.is_generalized_binary_linear, v.reason
+
+
+@pytest.mark.parametrize("x2_first", [True, False])
+def test_generalized_binary_linear_checks_every_forced_hyperplane(x2_first):
+    # a line forced into x2 = 0 and x3 = 0 lies in the boundary x3 = 0,
+    # whichever pair of rows comes first; one off it in both is rejected
+    x1, x2, x3 = np.eye(3)
+    pair = {v: [Halfspace(e, 0.0), Halfspace(-e, 0.0)] for v, e in ((1, x1), (2, x2), (3, x3))}
+    split = {"P": Halfspace(x3, 0.0, False), "N": Halfspace(-x3, 0.0)}
+    line = HPolytope(pair[2] + pair[3] if x2_first else pair[3] + pair[2])
+    v = is_generalized_binary_linear(Classifier(3, {**split, "L": line}), seed=0)
+    assert v.is_generalized_binary_linear, v.reason
+    u, c = v.hyperplane.unit()
+    assert np.array_equal(u, x3) and c == 0.0
+    off = HPolytope(pair[1] + pair[2] if x2_first else pair[2] + pair[1])
+    v = is_generalized_binary_linear(Classifier(3, {**split, "L": off}), seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "negligible label 'L' lies off the separating hyperplane"
+
+
+def test_generalized_binary_linear_rejects_parallel_boundaries_apart():
+    # {x2 < 0} and {x2 >= 1}: each holds a halfspace, one apart
+    C = Classifier(dimension=2, labels={"A": Halfspace([0.0, 1.0], 0.0, False),
+                                        "B": Halfspace([0.0, -1.0], -1.0)})
+    v = is_generalized_binary_linear(C, seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "halfspace boundaries do not coincide"
 
 
 def test_generalized_binary_linear_verdicts():
