@@ -24,11 +24,17 @@ One table, _LEVELS, lists the levels from "or" to unary minus. It drives
 both the parser, which reads one level per step, and unparse, which
 parenthesizes a child whose level is looser than its place needs.
 
-A Predicate compiles its tree once, when it is made, into a tree of
-closures, and each evaluation runs them under one floating-point error
-state. They apply the same ufuncs to the same values as a node-by-node walk
-of the tree, so results are bit-identical to it; tests/test_dsl.py keeps
-that walk as the reference.
+A Predicate compiles its tree once, when it is made, into two trees of
+closures, and each evaluation runs one of them under one floating-point
+error state. On a batch whose coordinates are all finite, the closures
+check nothing and run with the divide, invalid and overflow flags raising:
+literals are finite and negation keeps a value finite, so the first
+non-finite intermediate comes from arithmetic or a call on finite operands,
+which raises one of those flags, and they are raised with nothing else. A
+batch with a non-finite coordinate runs closures that check every
+arithmetic and call result. Both apply the same ufuncs to the same values
+as a node-by-node walk of the tree, so results are bit-identical to it;
+tests/test_dsl.py keeps that walk as the reference.
 """
 
 from __future__ import annotations
@@ -318,13 +324,18 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "<": np.less, "<=": np.less_equal, ">": np.greater,
            ">=": np.greater_equal, "==": np.equal,
            "and": np.bitwise_and, "or": np.bitwise_or}
-# floating-point flags that a non-finite check stands in for
-_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+# The error states evaluation runs under, whatever the caller's: on a
+# finite batch the flags that only a non-finite result raises stop it, and
+# on a batch with a non-finite coordinate a check per node stands in for
+# them. Underflow leaves a finite value and is ignored in both.
+_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise", "under": "ignore"}
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore", "under": "ignore"}
+_NON_FINITE = "non-finite intermediate value (NaN or Inf)"
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
     if not np.isfinite(v).all():
-        raise EvalError("non-finite intermediate value (NaN or Inf)")
+        raise EvalError(_NON_FINITE)
     return v
 
 
@@ -344,12 +355,13 @@ def _binary(op, l, r):
     return lambda X: op(l(X), r)
 
 
-def _compile(e: Expr):
+def _compile(e: Expr, checked: bool):
     """Compile e into a closure from a batch X of shape (m, n) to an (m,)
     array. A numeric literal and its negations compile to their float64
     value, which enters arithmetic and comparisons as a scalar (IEEE rounding
     makes that bit-identical to a full array) and calls as a full array.
-    Arithmetic and call results that are not finite raise EvalError."""
+    When checked, arithmetic and call results that are not finite raise
+    EvalError."""
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Var):
@@ -358,19 +370,19 @@ def _compile(e: Expr):
     if isinstance(e, BoolLit):
         return _full(e.value)
     if isinstance(e, Neg):
-        f = _compile(e.operand)
+        f = _compile(e.operand, checked)
         return (lambda X: -f(X)) if callable(f) else -f
     if isinstance(e, Not):
-        f = _compile(e.operand)
+        f = _compile(e.operand, checked)
         return lambda X: ~f(X)
     if isinstance(e, Call):
-        func, f = FUNCTIONS[e.func], _compile(e.arg)
+        func, f = FUNCTIONS[e.func], _compile(e.arg, checked)
         if not callable(f):
             f = _full(f)
-        return lambda X: _finite(func(f(X)))
+        return (lambda X: _finite(func(f(X)))) if checked else (lambda X: func(f(X)))
     if isinstance(e, (Arith, Cmp, BoolOp)):
-        f = _binary(_BINARY[e.op], _compile(e.left), _compile(e.right))
-        return (lambda X: _finite(f(X))) if isinstance(e, Arith) else f
+        f = _binary(_BINARY[e.op], _compile(e.left, checked), _compile(e.right, checked))
+        return (lambda X: _finite(f(X))) if checked and isinstance(e, Arith) else f
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -380,28 +392,38 @@ class Predicate:
 
     expr: Expr
     dimension: int
-    _compiled: object = dataclasses.field(init=False, compare=False, repr=False)
+    _unchecked: object = dataclasses.field(init=False, compare=False, repr=False)
+    _checked: object = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not is_boolean(self.expr):
             raise DslTypeError("predicate root must be a boolean expression")
-        object.__setattr__(self, "_compiled", _compile(self.expr))
+        object.__setattr__(self, "_unchecked", _compile(self.expr, False))
+        object.__setattr__(self, "_checked", _compile(self.expr, True))
+
+    def _run(self, X: np.ndarray) -> np.ndarray:
+        if np.isfinite(X).all():
+            try:
+                with np.errstate(**_RAISE):
+                    return self._unchecked(X)
+            except FloatingPointError:
+                raise EvalError(_NON_FINITE) from None
+        with np.errstate(**_QUIET):
+            return self._checked(X)
 
     def evaluate(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatch(
                 f"point has dimension {x.shape}, predicate expects {self.dimension}")
-        with np.errstate(**_QUIET):
-            return bool(self._compiled(x[None, :])[0])
+        return bool(self._run(x[None, :])[0])
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"batch has shape {X.shape}, predicate expects (m, {self.dimension})")
-        with np.errstate(**_QUIET):
-            return self._compiled(X)
+        return self._run(X)
 
     @property
     def source(self) -> str:

@@ -65,10 +65,13 @@ def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator,
         norms[norms == 0.0] = 1.0
     d /= norms
     if surface:
-        scale = radius * (1.0 - 1e-9)
-        return center + scale * d
-    u = rng.random((m, 1)) ** (1.0 / n)
-    return center + (radius * (1.0 - 1e-12)) * u * d
+        d *= radius * (1.0 - 1e-9)
+    else:
+        u = rng.random((m, 1)) ** (1.0 / n)
+        u *= radius * (1.0 - 1e-12)
+        d *= u
+    d += center
+    return d
 
 
 @dataclasses.dataclass(frozen=True, eq=False, slots=True)

@@ -448,15 +448,18 @@ def classify_structure(C: Classifier, probe_count: int = 30,
 
 def _forced_hyperplanes(P: HPolytope) -> tuple:
     """(empty, forced) as P's anti-parallel row pairs show it: a pair with
-    a negative gap makes P empty, and each pair with zero gap forces P into
-    its hyperplane {a.x = b}. An empty interior that no pair shows, as in a
-    point cut by three rows, is not seen (Schrijver 1986, section 7.8)."""
+    a negative gap makes P empty, and so does a pair with a strict row and
+    no positive gap; each pair with zero gap forces P into its hyperplane
+    {a.x = b}. An empty interior that no pair shows, as in a point cut by
+    three rows, is not seen (Schrijver 1986, section 7.8)."""
     i, j = np.nonzero(P.A @ P.A.T < -1.0 + 1e-12)  # anti-parallel unit rows
     i, j = i[i < j], j[i < j]
     gaps = (P.b[i] + P.b[j]).tolist()
+    shut = P.closed.tolist()
     forced = [Hyperplane(P.A[k], P.b[k]) for k, gap in zip(i.tolist(), gaps)
               if abs(gap) <= 1e-9]
-    return any(gap < -1e-9 for gap in gaps), forced
+    return any(gap < -1e-9 or (gap <= 0.0 and not (shut[k] and shut[l]))
+               for k, l, gap in zip(i.tolist(), j.tolist(), gaps)), forced
 
 
 def _agree(h1: tuple, h2: tuple, scale: float, tol: float) -> bool:

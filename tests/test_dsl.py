@@ -333,6 +333,31 @@ def test_compiled_evaluation_matches_tree_walk():
     assert raised >= 200 and answered >= 1000, (raised, answered)
 
 
+@pytest.mark.parametrize("state", ["raise", "ignore"])
+def test_evaluation_ignores_the_callers_error_state(state):
+    # underflow in exp, overflow, x / 0 and 0 / 0, on finite points and on
+    # points with a non-finite coordinate
+    texts = ["exp(0 - 800 - x1) * 2 < 1", "exp(x1) * 1e300 > 1", "1 / x1 < 0",
+             "x2 / x1 == 1", "abs(x1) * 1e-300 * 1e-300 >= 0"]
+    batches = [np.zeros((2, 2)), np.array([[1.0, 2.0], [800.0, -3.0]]),
+               np.array([[np.inf, 1.0], [0.5, 0.5]]), np.array([[np.nan, 0.0]])]
+    for text in texts:
+        p = dsl.Predicate(dsl.parse(text, 2), 2)
+        for X in batches:
+            want_many, want_one = _outcome(p.evaluate_many, X), _outcome(p.evaluate, X[0])
+            before = np.geterr()
+            with np.errstate(all=state):
+                inner = np.geterr()
+                got_many, got_one = _outcome(p.evaluate_many, X), _outcome(p.evaluate, X[0])
+                assert np.geterr() == inner
+            assert np.geterr() == before
+            if want_many is EvalError:
+                assert got_many is EvalError, text
+            else:
+                assert np.array_equal(got_many, want_many), text
+            assert got_one == want_one, text
+
+
 # --- unparse round-trip -----------------------------------------------------
 
 def _random_num_expr(rng, depth):

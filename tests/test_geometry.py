@@ -60,6 +60,49 @@ def test_sample_in_ball_stays_inside():
             assert np.all(d > 0.99 * b.radius)
 
 
+def _sample_in_ball_reference(center, radius, rng, m, surface=False):
+    """sample_in_ball as first written, each step into a new array."""
+    n = center.shape[0]
+    d = rng.standard_normal((m, n))
+    norms = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
+    if not norms.all():
+        norms[norms == 0.0] = 1.0
+    d /= norms
+    if surface:
+        return center + (radius * (1.0 - 1e-9)) * d
+    u = rng.random((m, 1)) ** (1.0 / n)
+    return center + (radius * (1.0 - 1e-12)) * u * d
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_sample_in_ball_matches_the_reference(n):
+    center = 1.0 + np.arange(n) / n
+    for m, surface, seed in itertools.product((1, 2000), (False, True), (0, 1)):
+        want = _sample_in_ball_reference(center, 0.75, np.random.default_rng(seed), m, surface)
+        got = sample_in_ball(center, 0.75, np.random.default_rng(seed), m, surface)
+        assert got.shape == (m, n)
+        assert np.array_equal(got, want)
+
+
+class _ZeroNormals:
+    """A generator whose normal draws are all 0."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+    def random(self, shape):
+        return np.full(shape, 0.5)
+
+
+@pytest.mark.parametrize("surface", [False, True])
+def test_sample_in_ball_zero_direction_gives_the_center(surface):
+    center = np.array([3.0, -2.0, 1.0])
+    pts = sample_in_ball(center, 2.5, _ZeroNormals(), 4, surface=surface)
+    assert np.array_equal(pts, np.tile(center, (4, 1)))
+    want = _sample_in_ball_reference(center, 2.5, _ZeroNormals(), 4, surface)
+    assert np.array_equal(pts, want)
+
+
 # --- Halfspace / Hyperplane -------------------------------------------------
 
 def test_halfspace_open_vs_closed():

@@ -621,6 +621,27 @@ def test_generalized_binary_linear_passes_an_empty_label():
     assert v.is_generalized_binary_linear, v.reason
 
 
+def test_generalized_binary_linear_passes_a_zero_gap_pair_with_a_strict_row():
+    # {x1 < 0, x1 >= 0} is empty, not forced into x1 = 0
+    E = HPolytope((Halfspace([1.0, 0.0], 0.0, False), Halfspace([-1.0, 0.0], 0.0)))
+    C = Classifier(dimension=2, labels={"up": Halfspace([0.0, -1.0], 0.0, False),
+                                        "down": Halfspace([0.0, 1.0], 0.0), "E": E})
+    v = is_generalized_binary_linear(C, seed=0)
+    assert v.is_generalized_binary_linear, v.reason
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_generalized_binary_linear_rejects_a_thin_strip_off_the_boundary(closed):
+    # {-1e-10 <= x1 < 0} has a positive gap: a strict row does not make
+    # it empty, and within tolerance it is forced into x1 = 0
+    E = HPolytope((Halfspace([1.0, 0.0], 0.0, closed), Halfspace([-1.0, 0.0], 1e-10)))
+    C = Classifier(dimension=2, labels={"up": Halfspace([0.0, -1.0], 0.0, False),
+                                        "down": Halfspace([0.0, 1.0], 0.0), "E": E})
+    v = is_generalized_binary_linear(C, seed=0)
+    assert not v.is_generalized_binary_linear
+    assert v.reason == "negligible label 'E' lies off the separating hyperplane"
+
+
 @pytest.mark.parametrize("x2_first", [True, False])
 def test_generalized_binary_linear_checks_every_forced_hyperplane(x2_first):
     # a line forced into x2 = 0 and x3 = 0 lies in the boundary x3 = 0,
