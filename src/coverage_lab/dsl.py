@@ -17,24 +17,23 @@ Grammar (lowest to highest precedence)::
 Variables are x1..xn. Functions: sin, cos, exp, abs (radians for trig).
 Numeric literals must be finite. Comparisons appear only above arithmetic
 subtrees; boolean operators only above comparisons. Arithmetic follows IEEE
-semantics, but any non-finite intermediate raises EvalError instead of
-silently comparing.
+semantics, but a point with a non-finite coordinate, and any non-finite
+intermediate, raises EvalError instead of silently comparing.
 
 One table, _LEVELS, lists the levels from "or" to unary minus. It drives
 both the parser, which reads one level per step, and unparse, which
 parenthesizes a child whose level is looser than its place needs.
 
-A Predicate compiles its tree once, when it is made, into two trees of
-closures, and each evaluation runs one of them under one floating-point
-error state. On a batch whose coordinates are all finite, the closures
-check nothing and run with the divide, invalid and overflow flags raising:
-literals are finite and negation keeps a value finite, so the first
+A Predicate compiles its tree once, when it is made, into one tree of
+closures, and each evaluation runs it with the divide, invalid and overflow
+flags raising, whatever the caller's error state. A batch with a non-finite
+coordinate raises EvalError before any closure runs. Literals are finite
+and negation keeps a value finite, so on a finite batch the first
 non-finite intermediate comes from arithmetic or a call on finite operands,
-which raises one of those flags, and they are raised with nothing else. A
-batch with a non-finite coordinate runs closures that check every
-arithmetic and call result. Both apply the same ufuncs to the same values
-as a node-by-node walk of the tree, so results are bit-identical to it;
-tests/test_dsl.py keeps that walk as the reference.
+which raises one of those flags, and they are raised with nothing else.
+The closures apply the same ufuncs to the same values as a node-by-node
+walk of the tree, so results are bit-identical to it; tests/test_dsl.py
+keeps that walk as the reference.
 """
 
 from __future__ import annotations
@@ -324,19 +323,10 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
            "<": np.less, "<=": np.less_equal, ">": np.greater,
            ">=": np.greater_equal, "==": np.equal,
            "and": np.bitwise_and, "or": np.bitwise_or}
-# The error states evaluation runs under, whatever the caller's: on a
-# finite batch the flags that only a non-finite result raises stop it, and
-# on a batch with a non-finite coordinate a check per node stands in for
-# them. Underflow leaves a finite value and is ignored in both.
+# The error state evaluation runs under, whatever the caller's: the flags
+# that only a non-finite result raises stop it, and underflow, which leaves
+# a finite value, is ignored.
 _RAISE = {"divide": "raise", "invalid": "raise", "over": "raise", "under": "ignore"}
-_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore", "under": "ignore"}
-_NON_FINITE = "non-finite intermediate value (NaN or Inf)"
-
-
-def _finite(v: np.ndarray) -> np.ndarray:
-    if not np.isfinite(v).all():
-        raise EvalError(_NON_FINITE)
-    return v
 
 
 def _full(v):
@@ -355,13 +345,12 @@ def _binary(op, l, r):
     return lambda X: op(l(X), r)
 
 
-def _compile(e: Expr, checked: bool):
+def _compile(e: Expr):
     """Compile e into a closure from a batch X of shape (m, n) to an (m,)
     array. A numeric literal and its negations compile to their float64
     value, which enters arithmetic and comparisons as a scalar (IEEE rounding
     makes that bit-identical to a full array) and calls as a full array.
-    When checked, arithmetic and call results that are not finite raise
-    EvalError."""
+    The closures check nothing: Predicate runs them under _RAISE."""
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Var):
@@ -370,46 +359,44 @@ def _compile(e: Expr, checked: bool):
     if isinstance(e, BoolLit):
         return _full(e.value)
     if isinstance(e, Neg):
-        f = _compile(e.operand, checked)
+        f = _compile(e.operand)
         return (lambda X: -f(X)) if callable(f) else -f
     if isinstance(e, Not):
-        f = _compile(e.operand, checked)
+        f = _compile(e.operand)
         return lambda X: ~f(X)
     if isinstance(e, Call):
-        func, f = FUNCTIONS[e.func], _compile(e.arg, checked)
+        func, f = FUNCTIONS[e.func], _compile(e.arg)
         if not callable(f):
             f = _full(f)
-        return (lambda X: _finite(func(f(X)))) if checked else (lambda X: func(f(X)))
+        return lambda X: func(f(X))
     if isinstance(e, (Arith, Cmp, BoolOp)):
-        f = _binary(_BINARY[e.op], _compile(e.left, checked), _compile(e.right, checked))
-        return (lambda X: _finite(f(X))) if checked and isinstance(e, Arith) else f
+        return _binary(_BINARY[e.op], _compile(e.left), _compile(e.right))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 @dataclasses.dataclass(frozen=True)
 class Predicate:
-    """A boolean-rooted expression over points in R^dimension."""
+    """A boolean-rooted expression over points in R^dimension. Evaluation
+    raises EvalError on a point with a non-finite coordinate and where an
+    intermediate value is not finite."""
 
     expr: Expr
     dimension: int
-    _unchecked: object = dataclasses.field(init=False, compare=False, repr=False)
-    _checked: object = dataclasses.field(init=False, compare=False, repr=False)
+    _compiled: object = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not is_boolean(self.expr):
             raise DslTypeError("predicate root must be a boolean expression")
-        object.__setattr__(self, "_unchecked", _compile(self.expr, False))
-        object.__setattr__(self, "_checked", _compile(self.expr, True))
+        object.__setattr__(self, "_compiled", _compile(self.expr))
 
     def _run(self, X: np.ndarray) -> np.ndarray:
-        if np.isfinite(X).all():
-            try:
-                with np.errstate(**_RAISE):
-                    return self._unchecked(X)
-            except FloatingPointError:
-                raise EvalError(_NON_FINITE) from None
-        with np.errstate(**_QUIET):
-            return self._checked(X)
+        if not np.isfinite(X).all():
+            raise EvalError("point has a non-finite coordinate (NaN or Inf)")
+        try:
+            with np.errstate(**_RAISE):
+                return self._compiled(X)
+        except FloatingPointError:
+            raise EvalError("non-finite intermediate value (NaN or Inf)") from None
 
     def evaluate(self, x) -> bool:
         x = np.asarray(x, dtype=float)

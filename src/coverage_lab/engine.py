@@ -5,7 +5,9 @@ feasible iff some center c with ||x - c|| < r lies in the inner parallel
 body of the label shrunk by r. An infeasible probe bounds r from above: an
 empty body by its Farkas vector, a body too far from x by the Newton step
 on dist(x, body) - r from its projection's multipliers. The next probe goes
-just under that bound; where a probe gives no bound, the search bisects.
+just under that bound; where a probe gives no bound, the search bisects. A
+probe that proves nothing (no checked certificate, or a distance within
+rounding of r) makes the answer a lower bound.
 
 Union labels: a ball is connected, so where x's component is isolated
 (its closure is proven, by a checked Farkas vector per pair, to meet no
@@ -128,28 +130,39 @@ def compare_results(r1: CoverageResult, r2: CoverageResult, tol: float = 0.0) ->
 def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
     """(center, r, False) of a radius-r ball inscribed in P that contains x
     strictly, else (None, bound, empty): no radius above bound <= r is
-    feasible, and `empty` says whether P shrunk by r is empty.
+    feasible, and `empty` says whether P shrunk by r is empty. bound is None
+    when the probe proves nothing: an empty body without a checked Farkas
+    vector, multipliers that do not check out, or a distance d from x to
+    the body within the margin mu = 1e-14 (1 + r + ||x||) of r.
 
-    The distance must clear r by a float margin far below any tol. An
-    empty body's Farkas vector w proves it empty at every r' > b.w / sum(w).
-    A body at distance d >= r from x gives the Newton bound: phi(r') =
-    dist(x, P_r') - r' is convex with slope sum(lambda) / d - 1 at r, from
-    the projection's multipliers lambda, so when that slope is positive
-    phi stays positive above its tangent's root r - (d - r) / slope.
+    mu bounds the rounding of d, and of ||x - c|| as Ball.contains reads it
+    back for the center c = x + u: forming c and then x - c rounds each
+    coordinate by at most eps/2 (|x_i| + |u_i|) twice (eps = 2**-52), which
+    moves the distance by at most eps (||x|| + d), and a norm of n terms
+    reads within (n + 2) eps / 2 of its value, relative. So a reading near r
+    is off by less than (n + 3) eps (||x|| + r) <= mu for n <= 42. Only
+    d < r - mu is read as feasible, and only d >= r + mu, with checked
+    multipliers, as infeasible.
+
+    An empty body's Farkas vector w proves it empty at every r' > b.w /
+    sum(w). A body at distance d >= r + mu from x gives the Newton bound:
+    phi(r') = dist(x, P_r') - r' is convex with slope sum(lambda) / d - 1 at
+    r, from the projection's multipliers lambda, so when that slope is
+    positive phi stays positive above its tangent's root r - (d - r) /
+    slope; otherwise the bound is r.
     """
     try:
         p = project_onto_polytope(x, shrink_polytope(P, r))
     except EmptyPolytope as exc:
         w = exc.farkas
-        return None, (r if w is None else min(r, float(P.b @ w) / float(w.sum()))), True
-    d = p.distance
-    if d < r - 1e-12 * (1.0 + r + math.sqrt(float(x @ x))):
+        return None, (None if w is None else min(r, float(P.b @ w) / float(w.sum()))), True
+    d, mu = p.distance, 1e-14 * (1.0 + r + math.sqrt(float(x @ x)))
+    if d < r - mu:
         return p.point, r, False
-    if p.multipliers is not None and d > 0.0:
-        slope = float(p.multipliers.sum()) / d - 1.0
-        if slope > 0.0:
-            return None, min(r, r - (d - r) / slope), False
-    return None, r, False
+    if p.multipliers is None or d < r + mu:
+        return None, None, False
+    slope = float(p.multipliers.sum()) / d - 1.0
+    return None, (r - (d - r) / slope if slope > 0.0 else r), False
 
 
 def shrink_toward(x: np.ndarray, c: np.ndarray, r_small: float, r_big: float) -> np.ndarray:
@@ -175,7 +188,9 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     superlinearly to the answer, which is a simple root of the convex
     dist(x, P_r) - r; an empty probe that lowers the upper end by less than
     half the bracket is followed by a midpoint, and so is a probe that gives
-    no bound.
+    no bound. A probe that proves nothing lowers the upper end to its radius
+    too, but the answer is then a lower bound: radius lo, the largest radius
+    whose ball is proven, which is also the witness.
     Raises ExactUnsupported for a region that is not convex.
     """
     x = as_point(x)
@@ -205,6 +220,8 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
                               witness=witnesses[-1], witnesses=witnesses)
 
     lo, center = float(np.min(slack)), x  # B(x, lo) lies in P
+    proven = hi is not None  # every lowering of hi so far was proven
+    hi = cap_probe if hi is None else hi
     bounded = hi < cap_probe  # hi is a bound not yet probed under
     midpoint_due = False
     hi = max(lo, hi)
@@ -215,13 +232,17 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         if z is not None:
             lo, center = r, z
         else:
+            proven = proven and bound is not None
+            bound = r if bound is None else bound
             hi = max(lo, bound)
             bounded = bound < r
         # Farkas bounds that fall slowly are broken up by midpoints; Newton
         # bounds fall superlinearly and need none
         midpoint_due = empty and hi - lo > 0.5 * width
-    return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi),
-                          witness=_anchor(x, center, lo, P, label))
+    witness = _anchor(x, center, lo, P, label)
+    if not proven:
+        return CoverageResult("bounded", "lower_bound", radius=lo, witness=witness)
+    return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi), witness=witness)
 
 
 # --- sampled route ---------------------------------------------------------

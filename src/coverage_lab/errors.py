@@ -54,7 +54,8 @@ class DslTypeError(DslError):
 
 
 class EvalError(DslError):
-    """A non-finite intermediate (NaN/Inf) was produced during evaluation."""
+    """A predicate met a point with a non-finite coordinate, or produced a
+    non-finite intermediate (NaN/Inf), during evaluation."""
 
 
 # --- classifier model ---

@@ -32,6 +32,17 @@ def as_point(x) -> np.ndarray:
     return p
 
 
+def _normal_offset(a, b, kind: str) -> tuple[np.ndarray, float]:
+    """(a, b) as a vector and a float, with 0 < ||a|| < inf and b finite."""
+    a, b = as_point(a), float(b)
+    # ||a||^2 in Python floats, which overflow to inf without a warning
+    if not 0.0 < sum(v * v for v in a.tolist()) < math.inf:
+        raise ValueError(f"{kind} normal a must be nonzero with a finite norm")
+    if not math.isfinite(b):
+        raise ValueError(f"{kind} offset b must be finite, got {b}")
+    return a, b
+
+
 def _check_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
@@ -84,8 +95,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def dimension(self) -> int:
@@ -107,10 +118,9 @@ class Halfspace:
     closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_point(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not np.linalg.norm(self.a) > 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+        a, b = _normal_offset(self.a, self.b, "halfspace")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dimension(self) -> int:
@@ -138,10 +148,9 @@ class Hyperplane:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_point(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not np.linalg.norm(self.a) > 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
+        a, b = _normal_offset(self.a, self.b, "hyperplane")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def dimension(self) -> int:
@@ -435,6 +444,13 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
                        samples=m, seed=seed)
 
 
+def _anti_parallel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Whether unit rows U and V, broadcast against each other, are
+    anti-parallel: |u + v| <= 1e-13, which only rounding reaches. 1 + u.v
+    is taken as |u + v|^2 / 2, which stays accurate near -v."""
+    return np.square(U + V).sum(axis=-1) <= 1e-26
+
+
 def halfspace_in_region(x, d, region) -> Certificate:
     """Is the open halfspace H = {p : d.(p - x) > 0} (d unit) inside a
     convex region? Over H, u.p is bounded only when u = -d, and then its
@@ -447,8 +463,7 @@ def halfspace_in_region(x, d, region) -> Certificate:
     """
     P = as_polytope(region)
     x, d = as_point(x), as_point(d)
-    # 1 + u.d, taken as |u + d|^2 / 2 so that it stays accurate near -d
-    anti = 0.5 * np.square(P.A + d).sum(axis=1) <= 5e-27
+    anti = _anti_parallel(P.A, d)
     gap = P.A @ x - P.b
     xn = math.sqrt(float(x @ x))
     bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + xn)))

@@ -131,6 +131,7 @@ class Classifier:
     refinement_set: LabelRegion | None = None
     domain_box: np.ndarray | None = None  # shape (2, n): rows are lows, highs
     probe_points: tuple = ()
+    diameter: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -151,17 +152,18 @@ class Classifier:
             box = np.asarray(self.domain_box, dtype=float)
             if box.shape != (2, self.dimension) or np.any(box[1] <= box[0]):
                 raise ValueError(f"domain_box must be 2x{self.dimension} with lows < highs")
+        with np.errstate(over="ignore"):
+            diameter = float(np.linalg.norm(box[1] - box[0]))
+        if not (np.isfinite(box).all() and diameter < np.inf):
+            raise ValueError("domain_box must have finite bounds and a finite diameter")
         object.__setattr__(self, "domain_box", box)
+        object.__setattr__(self, "diameter", diameter)
         object.__setattr__(self, "probe_points",
                            tuple(as_point(p) for p in self.probe_points))
 
     @property
     def ordinary(self) -> bool:
         return self.refinement_set is None
-
-    @functools.cached_property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.domain_box[1] - self.domain_box[0]))
 
     def regions(self):
         """(name, region) pairs including the refinement set."""
@@ -196,10 +198,12 @@ def label_of(C: Classifier, x) -> str:
 
 
 def labels_of(C: Classifier, X: np.ndarray) -> list:
-    """label_of for each row of X (finite points), or None where it would
-    raise NoLabel, AmbiguousLabel or EvalError. The batch takes one
-    contains_many per region; a batch that cannot be evaluated is labelled
-    row by row, so that only the rows at fault get None."""
+    """label_of for each row of X, or None where it would raise NoLabel,
+    AmbiguousLabel or EvalError. The batch takes one contains_many per
+    region; a batch that cannot be evaluated is labelled row by row, so that
+    only the rows at fault get None. A row with a non-finite coordinate is
+    no point: an analytic label raises EvalError on it, so it gets None
+    where C has one."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != C.dimension:
         raise DimensionMismatch(

@@ -25,8 +25,9 @@ import numpy as np
 from . import dsl
 from .engine import CoverageResult, coverage_at, resolve_limits
 from .errors import DegenerateSequence, RefinementPoint, UnsupportedRegion
-from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane, as_point,
-                       as_polytope, halfspace_in_region, sampled_inside)
+from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane,
+                       _anti_parallel, as_point, as_polytope, halfspace_in_region,
+                       sampled_inside)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
                     label_of, labels_of, sample_box)
 
@@ -452,7 +453,7 @@ def _forced_hyperplanes(P: HPolytope) -> tuple:
     no positive gap; each pair with zero gap forces P into its hyperplane
     {a.x = b}. An empty interior that no pair shows, as in a point cut by
     three rows, is not seen (Schrijver 1986, section 7.8)."""
-    i, j = np.nonzero(P.A @ P.A.T < -1.0 + 1e-12)  # anti-parallel unit rows
+    i, j = np.nonzero(_anti_parallel(P.A[:, None], P.A))
     i, j = i[i < j], j[i < j]
     gaps = (P.b[i] + P.b[j]).tolist()
     shut = P.closed.tolist()

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import subprocess
 import sys
 
 import pytest
@@ -135,6 +137,39 @@ def test_nonfinite_literal_exit_2(capsys, tmp_path):
     assert code == 2
     assert "numeric literal 1e999 is not finite (at byte 10)" in err
     assert not out.exists()
+
+
+_PAIR = {"U": {"analytic": "x2 > 0"}, "D": {"analytic": "x2 <= 0"}}
+
+
+@pytest.mark.parametrize("spec, field", [
+    ('{"dimension": 2, "labels": {"U": {"halfspace": {"a": [0, -1], "b": 1e999}}}}',
+     "offset b"),
+    ('{"dimension": 2, "labels": {"U": {"halfspace": {"a": [1e200, 1e200], "b": 0}}}}',
+     "normal a"),
+    (json.dumps({"dimension": 2, "domain_box": [[-1e308, -1], [1e308, 1]], "labels": _PAIR}),
+     "domain_box"),
+    (json.dumps({"dimension": 2, "domain_box": [[-1e200, -1], [1e200, 1]], "labels": _PAIR}),
+     "domain_box"),
+], ids=["offset", "normal", "extent", "diameter"])
+def test_spec_numbers_that_are_not_finite_exit_2(capsys, tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    code, _, err = run_cli(capsys, "coverage", "--classifier", str(path),
+                           "--point=0,1", "--cap", "10", "--tol", "1e-3")
+    assert code == 2 and field in err, err
+
+
+def test_a_box_with_an_infinite_diameter_returns_at_once(tmp_path):
+    # the sampled search started at radius diameter * 1e-3 = inf and
+    # divided it by 8 forever
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dimension": 2, "domain_box": [[-1e200, -1], [1e200, 1]],
+                                "labels": _PAIR}), encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "coverage_lab.cli", "coverage",
+                          "--classifier", str(path), "--point=0,1", "--cap", "10",
+                          "--tol", "1e-3"], capture_output=True, text=True, timeout=20)
+    assert run.returncode == 2 and "domain_box" in run.stderr, run.stderr
 
 
 def test_coverage_bad_point_exit_2(capsys, spec_path_factory):
@@ -276,6 +311,25 @@ def test_structure_verdict_json_out(capsys, spec_path_factory, tmp_path):
     assert code == 0
     verdict = json.loads(out_path.read_text(encoding="utf-8"))
     assert verdict["kind"] == "not_refined_linear"
+
+
+def test_structure_prints_and_writes_the_witness_coverage(capsys, tmp_path):
+    # three labels: not refined linear, with the slab's bounded coverage as
+    # evidence
+    spec = tmp_path / "slabs.json"
+    spec.write_text(json.dumps({"dimension": 2, "labels": {
+        "L": {"halfspace": {"a": [1, 0], "b": -1, "closed": False}},
+        "S": {"polytope": {"halfspaces": [{"a": [-1, 0], "b": 1}, {"a": [1, 0], "b": 1}]}},
+        "R": {"halfspace": {"a": [-1, 0], "b": -1, "closed": False}}}}), encoding="utf-8")
+    out_path = tmp_path / "verdict.json"
+    code, out, _ = run_cli(capsys, "structure", "--classifier", str(spec),
+                           "--out", str(out_path))
+    assert code == 0
+    printed = kv(out)
+    assert printed["kind"] == "not_refined_linear"
+    assert re.fullmatch(r"Bounded\(radius=[0-9.]+\) \(exact\)", printed["witness_coverage"])
+    assert json.loads(out_path.read_text(encoding="utf-8"))["witness_coverage"] \
+        == printed["witness_coverage"]
 
 
 # --- compare ----------------------------------------------------------------

@@ -233,6 +233,12 @@ def _walk_check_finite(v):
         raise EvalError("non-finite intermediate value (NaN or Inf)")
 
 
+def _reference(e, X):
+    """What evaluating e on X must give: EvalError on a batch with a
+    non-finite coordinate, else the tree walk's outcome."""
+    return EvalError if not np.isfinite(X).all() else _outcome(_walk, e, X)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -314,7 +320,7 @@ def test_compiled_evaluation_matches_tree_walk():
                 seen.add(("constant argument", "Call"))
         p = dsl.Predicate(e, 3)
         for X in _eval_batches(rng):
-            want, got = _outcome(_walk, e, X), _outcome(p.evaluate_many, X)
+            want, got = _reference(e, X), _outcome(p.evaluate_many, X)
             if want is EvalError:
                 raised += 1
                 assert got is EvalError, dsl.unparse(e)
@@ -322,7 +328,7 @@ def test_compiled_evaluation_matches_tree_walk():
             answered += 1
             assert isinstance(got, np.ndarray) and got.dtype == bool, dsl.unparse(e)
             assert got.shape == (X.shape[0],) and np.array_equal(got, want), dsl.unparse(e)
-            one = _outcome(_walk, e, X[:1])
+            one = _reference(e, X[:1])
             assert _outcome(p.evaluate, X[0]) == (one if one is EvalError else bool(one[0]))
     kinds = {("Num", None), ("Var", None), ("Neg", None), ("Not", None),
              ("BoolLit", None), ("constant argument", "Call"),
@@ -331,6 +337,16 @@ def test_compiled_evaluation_matches_tree_walk():
     kinds |= {("Cmp", op) for op in dsl.CMP_OPS} | {("BoolOp", op) for op in dsl.BOOL_OPS}
     assert kinds <= seen, kinds - seen
     assert raised >= 200 and answered >= 1000, (raised, answered)
+
+
+def test_a_coordinate_that_is_not_finite_raises():
+    # even where the predicate does not read it
+    p = dsl.Predicate(dsl.parse("x2 > 0", 2), 2)
+    for x in ([np.nan, 1.0], [np.inf, 1.0], [0.0, np.inf]):
+        with pytest.raises(EvalError, match="non-finite coordinate"):
+            p.evaluate(x)
+        with pytest.raises(EvalError, match="non-finite coordinate"):
+            p.evaluate_many(np.array([[0.0, 1.0], x]))
 
 
 @pytest.mark.parametrize("state", ["raise", "ignore"])

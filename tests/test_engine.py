@@ -211,6 +211,54 @@ def test_point_just_inside_a_facet_is_not_zero():
                                  tol=1e-6).kind == "zero"
 
 
+def _halfspace_pair(n: int) -> Classifier:
+    e2 = np.zeros(n)
+    e2[1] = 1.0
+    return Classifier(n, {"U": Halfspace(-e2, 0.0, False), "D": Halfspace(e2, 0.0)})
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_an_upper_end_without_proof_is_no_exact_answer(n):
+    # U = {x2 > 0} holds an open halfspace, so its coverage is unbounded.
+    # Near its boundary the cap probe's distance lies within rounding of
+    # the cap, which proves nothing: the answer was Bounded (exact) at
+    # depths up to 5e-5 on the default box
+    C = _halfspace_pair(n)
+    for norm in (0.0, 1e3, 1e6):
+        for depth in (1e-3, 1e-4, 5e-5, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            x = np.zeros(n)
+            x[0], x[1] = norm, depth
+            res = coverage_at(C, x)
+            assert not (res.kind == "bounded" and res.method == "exact"), (norm, depth)
+            for w in res.witnesses:
+                assert w.certificate.kind == "proven" and w.ball.contains(x)
+            if norm == 0.0 and depth >= 1e-6:
+                assert (res.kind, res.method) == ("exceeds_cap", "exact"), depth
+
+
+@pytest.mark.parametrize("region, x", [
+    (Halfspace([0.0, -1.0], 0.0, False), [0.0, 1.0]),  # unbounded coverage
+    (unit_box(), [0.5, 0.5]),  # coverage 0.5
+], ids=["halfspace", "box"])
+def test_a_cap_probe_without_an_answer_gives_a_lower_bound(monkeypatch, region, x):
+    # the cap probe's least-distance program finds neither a point nor a
+    # Farkas vector that checks out; later probes answer as usual
+    solve, calls = geometry._nnls, []
+
+    def first_fails(E, f):
+        calls.append(1)
+        return np.zeros(E.shape[1]) if len(calls) == 1 else solve(E, f)
+
+    monkeypatch.setattr(geometry, "_nnls", first_fails)
+    assert geometry.least_distance(np.array([[1.0, 0.0]]), np.array([-1.0])) == (None, None)
+    calls.clear()
+    res = coverage_exact_convex(x, region, cap=100.0, tol=1e-6)
+    assert (res.kind, res.method) == ("bounded", "lower_bound")
+    assert res.radius == res.witness.ball.radius
+    assert res.witness.certificate.kind == "proven" and res.witness.ball.contains(x)
+    assert res.radius >= 0.5 - 1e-6
+
+
 def test_radius_within_tol_where_distance_runs_flat():
     # fig3's box [-7, 20] x [1, 20] at the grid point (20/19, 20/19): the best
     # ball is tangent to the left and bottom facets with x on its boundary,

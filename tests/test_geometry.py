@@ -44,6 +44,29 @@ def test_ball_rejects_nonpositive_radius():
         Ball([0.0], -1.0)
 
 
+def test_ball_rejects_an_infinite_radius():
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        Ball([0.0], np.inf)
+
+
+@pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+@pytest.mark.parametrize("a,b,field", [([1.0, 0.0], np.inf, "offset b"),
+                                       ([1.0, 0.0], -np.inf, "offset b"),
+                                       ([1.0, 0.0], np.nan, "offset b"),
+                                       ([1e200, 1e200], 0.0, "normal a"),
+                                       ([0.0, 0.0], 0.0, "normal a")])
+def test_halfspace_and_hyperplane_take_finite_numbers_only(cls, a, b, field):
+    # a normal whose norm overflows would become a zero unit row
+    with pytest.raises(ValueError, match=field):
+        cls(a, b)
+
+
+def test_a_sample_that_is_not_finite_refutes_without_a_witness():
+    # only a cap near the float maximum draws such samples
+    region = analytic("x2 > 0", 2)
+    assert sampled_inside(region, [np.array([[0.0, 1.0], [0.0, np.inf]])]) == (False, None)
+
+
 def test_ball_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Ball([0.0, 0.0], 1.0).contains([0.0, 0.0, 0.0])

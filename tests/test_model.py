@@ -58,6 +58,19 @@ def test_bad_domain_box():
                    domain_box=[[0.0, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("box", [
+    [[-np.inf, -1.0], [1.0, 1.0]],
+    [[np.nan, -1.0], [1.0, 1.0]],
+    [[-1e308, -1.0], [1e308, 1.0]],   # the extent overflows
+    [[-1e200, -1.0], [1e200, 1.0]],   # the diameter overflows
+])
+def test_domain_box_must_have_a_finite_diameter(box):
+    # an infinite diameter made the sampled search start at an infinite
+    # radius and divide it by 8 forever
+    with pytest.raises(ValueError, match="domain_box must have finite bounds"):
+        Classifier(dimension=2, labels=binary_linear().labels, domain_box=box)
+
+
 def test_union_of_polytopes_membership():
     left = HPolytope((Halfspace([1.0, 0.0], 0.0, False),))
     right = HPolytope((Halfspace([-1.0, 0.0], -1.0),))

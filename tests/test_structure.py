@@ -609,6 +609,20 @@ def test_is_negligible_region():
     assert not is_negligible_region(UnionOfPolytopes((line, slab)))
 
 
+@pytest.mark.parametrize("tilt", [1e-6, 1e-7, 1e-9])
+def test_a_thin_wedge_is_not_negligible(tilt):
+    # rows `tilt` rad apart are not anti-parallel: (-1, -tilt / 2) lies
+    # strictly inside
+    wedge = HPolytope((Halfspace([0.0, 1.0], 0.0), Halfspace([tilt, -1.0], 0.0)))
+    assert wedge.contains([-1.0, -0.5 * tilt])
+    assert not is_negligible_region(wedge)
+
+
+def test_a_wedge_tilted_by_rounding_alone_is_negligible():
+    assert is_negligible_region(HPolytope((Halfspace([0.0, 1.0], 0.0),
+                                           Halfspace([1e-13, -1.0], 0.0))))
+
+
 _EMPTY = HPolytope((Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)))  # x1 <= 0, x1 >= 1
 
 
