@@ -9,25 +9,24 @@ just under that bound; where a probe gives no bound, the search bisects. A
 probe that proves nothing (no checked certificate, or a distance within
 rounding of r) makes the answer a lower bound.
 
-Union labels: a ball is connected, so where x's component is isolated
+Union labels: the exact route on each component whose closure holds x
+gives the floor. A ball is connected, so where x's component is isolated
 (its closure is proven, by a checked Farkas vector per pair, to meet no
-other component's closure) every ball in the label that holds x lies in
-that component, and the exact route on it is the answer. Elsewhere the
-exact floor of x's components stands unless the sampled route beats it
-with a ball that straddles them.
+other component's closure) the floor is the answer. Elsewhere it stands
+unless the sampled route beats it with a ball that straddles components.
 
 Sampled route (analytic labels, union points whose component touches
 another): multi-start center search with per-candidate certification by
 uniform interior and near-surface samples; results are lower bounds, never
 claims of exactness.
 
-Both routes report growth through the cap as ExceedsCap with a witness
-sequence of radii cap/4, cap/2 and one at or above the cap, all nested in
-the ball found at the cap (exact: the ball the cap probe finds; sampled:
-the incumbent of the search), with centers on the ray from x to its center.
-Each witness carries its certificate: proven on the exact route; on the
-sampled route the verdict of 2*m fresh samples, recorded as it comes out,
-so it can read refuted although the incumbent passed the search's check.
+Any ball certified to hold x in the label, with a radius at or above the
+cap, answers ExceedsCap: witnesses of radii cap/4, cap/2 and one at or
+above the cap, nested in it with centers on the ray from x to its center.
+It is exact for a convex label's or a union component's ball, which is
+proven, and a lower bound for the sampled incumbent, whose witnesses carry
+the verdict of 2*m fresh samples, recorded as it comes out, so one can read
+refuted.
 """
 
 from __future__ import annotations
@@ -127,13 +126,19 @@ def compare_results(r1: CoverageResult, r2: CoverageResult, tol: float = 0.0) ->
 
 # --- exact convex route ----------------------------------------------------
 
+def _margin(x: np.ndarray, r):
+    """mu = 1e-14 (1 + r + ||x||) of _feasible_center, at x against radius or
+    offset r; math.hypot takes ||x|| without the overflow of x.x."""
+    return 1e-14 * (1.0 + r + math.hypot(*x.tolist()))
+
+
 def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
     """(center, r, False) of a radius-r ball inscribed in P that contains x
     strictly, else (None, bound, empty): no radius above bound <= r is
     feasible, and `empty` says whether P shrunk by r is empty. bound is None
     when the probe proves nothing: an empty body without a checked Farkas
     vector, multipliers that do not check out, or a distance d from x to
-    the body within the margin mu = 1e-14 (1 + r + ||x||) of r.
+    the body within the margin mu = _margin(x, r) of r.
 
     mu bounds the rounding of d, and of ||x - c|| as Ball.contains reads it
     back for the center c = x + u: forming c and then x - c rounds each
@@ -142,7 +147,10 @@ def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
     reads within (n + 2) eps / 2 of its value, relative. So a reading near r
     is off by less than (n + 3) eps (||x|| + r) <= mu for n <= 42. Only
     d < r - mu is read as feasible, and only d >= r + mu, with checked
-    multipliers, as infeasible.
+    multipliers, as infeasible. With r = |b|, mu bounds the rounding of the
+    zero rule's slack b - a.x on a unit row as well, (n + 1) eps (|b| +
+    ||x||) (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1), so a slack read above mu is positive.
 
     An empty body's Farkas vector w proves it empty at every r' > b.w /
     sum(w). A body at distance d >= r + mu from x gives the Newton bound:
@@ -156,7 +164,7 @@ def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
     except EmptyPolytope as exc:
         w = exc.farkas
         return None, (None if w is None else min(r, float(P.b @ w) / float(w.sum()))), True
-    d, mu = p.distance, 1e-14 * (1.0 + r + math.sqrt(float(x @ x)))
+    d, mu = p.distance, _margin(x, r)
     if d < r - mu:
         return p.point, r, False
     if p.multipliers is None or d < r + mu:
@@ -171,20 +179,27 @@ def shrink_toward(x: np.ndarray, c: np.ndarray, r_small: float, r_big: float) ->
     return x + (r_small / r_big) * (c - x)
 
 
-def _anchor(x, c, r, region, label):
-    return Anchor(Ball(c, r), x, label, ball_in_region(Ball(c, r), region, "exact"))
+def _exceeds_cap(x, c, R, top, cap, anchor, method, detail=_NO_DETAIL) -> CoverageResult:
+    """ExceedsCap from a ball B(c, R), R >= top >= cap, certified to hold x
+    in the label: witnesses of radii cap/4, cap/2 and top nested in it, each
+    certified by anchor(center, radius)."""
+    witnesses = tuple(anchor(shrink_toward(x, c, r, R), r) for r in (cap / 4, cap / 2, top))
+    return CoverageResult("exceeds_cap", method, cap=cap, witness=witnesses[-1],
+                          witnesses=witnesses, detail=detail)
 
 
 def coverage_exact_convex(x, region, cap: float, tol: float,
                           label: str = "label") -> CoverageResult:
     """Supremum anchor radius at x for a convex region, within tol.
 
-    Zero exactly when x lies on a facet, up to rounding. Otherwise a search
-    from x's distance to the nearest facet (the ball around x) up to the
-    cap. An infeasible probe lowers the upper end to its bound: an empty
-    body's Farkas bound, or the Newton bound of a body too far from x (see
-    _feasible_center). The next probe goes 0.4 tol under it, which closes
-    the bracket where the bound is the answer. Newton bounds fall
+    Zero when x lies on a facet, up to the rounding margin mu (_margin).
+    Otherwise the cap probe, whose ball is the one around x where that
+    reaches it (as at a far x, whose rounding hides the probe's answer),
+    then a search from x's distance to the nearest facet. An infeasible
+    probe lowers the upper end to its bound: an empty body's Farkas bound,
+    or the Newton bound of a body too far from x (see _feasible_center).
+    The next probe goes 0.4 tol under it, which closes the bracket where
+    the bound is the answer. Newton bounds fall
     superlinearly to the answer, which is a simple root of the convex
     dist(x, P_r) - r; an empty probe that lowers the upper end by less than
     half the bracket is followed by a midpoint, and so is a probe that gives
@@ -207,24 +222,22 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
             raise PointNotInRegion(f"query point {list(x)} is not in the region")
 
     slack = P.b - P.A @ x
-    if np.any(slack <= 1e-12 * (1.0 + np.abs(P.b) + float(np.linalg.norm(x)))):
+    if np.any(slack <= _margin(x, np.abs(P.b))):
         return CoverageResult("zero", "exact")
 
-    cap_probe = cap * (1 + 1e-9) + 4 * tol
-    z, hi, _ = _feasible_center(x, P, cap_probe)
-    if z is not None:
-        # balls nested in B(z, cap_probe) that still hold x
-        witnesses = tuple(_anchor(x, shrink_toward(x, z, r, cap_probe), r, P, label)
-                          for r in (cap / 4, cap / 2, cap * (1 + 1e-9) + 2 * tol))
-        return CoverageResult("exceeds_cap", "exact", cap=cap,
-                              witness=witnesses[-1], witnesses=witnesses)
+    def anchor(c, r):
+        return Anchor(Ball(c, r), x, label, ball_in_region(Ball(c, r), P, "exact"))
 
     lo, center = float(np.min(slack)), x  # B(x, lo) lies in P
+    cap_probe = cap * (1 + 1e-9) + 4 * tol
+    z, hi, _ = (x, cap_probe, False) if lo >= cap_probe else _feasible_center(x, P, cap_probe)
+    if z is not None:
+        return _exceeds_cap(x, z, cap_probe, cap * (1 + 1e-9) + 2 * tol, cap, anchor, "exact")
+
     proven = hi is not None  # every lowering of hi so far was proven
-    hi = cap_probe if hi is None else hi
+    hi = max(lo, cap_probe if hi is None else hi)
     bounded = hi < cap_probe  # hi is a bound not yet probed under
     midpoint_due = False
-    hi = max(lo, hi)
     while hi - lo > 0.5 * tol:
         r = hi - 0.4 * tol if bounded and not midpoint_due else 0.5 * (lo + hi)
         z, bound, empty = _feasible_center(x, P, r)
@@ -239,7 +252,7 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         # Farkas bounds that fall slowly are broken up by midpoints; Newton
         # bounds fall superlinearly and need none
         midpoint_due = empty and hi - lo > 0.5 * width
-    witness = _anchor(x, center, lo, P, label)
+    witness = anchor(center, lo)
     if not proven:
         return CoverageResult("bounded", "lower_bound", radius=lo, witness=witness)
     return CoverageResult("bounded", "exact", radius=0.5 * (lo + hi), witness=witness)
@@ -275,9 +288,7 @@ class _SampledSearch:
 
     def certify(self, c: np.ndarray, r: float) -> bool:
         d = self.x - c
-        if r <= 0 or not math.sqrt(float(d @ d)) < r:
-            return False
-        if self.exhausted():
+        if r <= 0 or not math.sqrt(float(d @ d)) < r or self.exhausted():
             return False
         self.spent += 2 * self.m
         # the interior batch is drawn only once the surface batch passes
@@ -288,8 +299,7 @@ class _SampledSearch:
 
     def note(self, c: np.ndarray, r: float) -> None:
         if r > self.best_r:
-            self.best_r = r
-            self.best_c = c
+            self.best_r, self.best_c = r, c
 
     def max_radius_at(self, c: np.ndarray, r_hint: float) -> float:
         """Largest certified radius of a ball centered at c containing x."""
@@ -470,25 +480,21 @@ def _resolve_query(C: Classifier, x):
     return x, name
 
 
-def _sampled_result(search: _SampledSearch, seed: int,
-                    floor: CoverageResult | None = None) -> CoverageResult:
-    """Run the search and build its lower-bound result: ExceedsCap once the
-    incumbent reaches the cap, with witnesses nested in it as on the exact
-    route. A union's exact per-component `floor` stands unless the search
-    beats it."""
+def _sampled_result(C: Classifier, x, name: str, cap: float, budget: int, seed: int,
+                    tol: float, floor: CoverageResult | None = None) -> CoverageResult:
+    """Run the sampled search on label `name` at x and build its lower-bound
+    result: ExceedsCap once the incumbent reaches the cap, with witnesses
+    nested in it as on the exact route. A union's exact per-component
+    `floor` stands unless the search beats it."""
+    search = _SampledSearch(C.labels[name], x, name, cap, budget, seed, tol, C.diameter)
     search.run()
     detail = {"m": search.m, "seed": seed, "samples_spent": search.spent}
     if floor is not None:
         detail["component_floor"] = floor.radius if floor.kind == "bounded" else None
     detail = types.MappingProxyType(detail)
     c, r = search.best_c, search.best_r
-    if r >= search.cap:
-        # balls nested in the certified B(c, r) that still hold x
-        witnesses = tuple(search.witness_at(shrink_toward(search.x, c, w, r), w)
-                          for w in (search.cap / 4, search.cap / 2, r))
-        return CoverageResult("exceeds_cap", "lower_bound", cap=search.cap,
-                              witness=witnesses[-1], witnesses=witnesses,
-                              detail=detail)
+    if r >= cap:
+        return _exceeds_cap(x, c, r, r, cap, search.witness_at, "lower_bound", detail)
     if floor is not None and floor.kind == "bounded" and floor.radius >= r:
         return dataclasses.replace(floor, method="lower_bound", detail=detail)
     if r <= 0:
@@ -503,23 +509,18 @@ def coverage_sampled(C: Classifier, x, cap: float | None = None,
     """Sampled lower-bound coverage at x, for any label kind."""
     cap, tol = resolve_limits(C, cap, tol, budget)
     x, name = _resolve_query(C, x)
-    return _fully_sampled(C, x, name, cap, budget, seed, tol)
-
-
-def _fully_sampled(C: Classifier, x, name: str, cap: float, budget: int,
-                   seed: int, tol: float) -> CoverageResult:
-    search = _SampledSearch(C.labels[name], x, name, cap, budget, seed, tol, C.diameter)
-    return _sampled_result(search, seed)
+    return _sampled_result(C, x, name, cap, budget, seed, tol)
 
 
 def coverage_at(C: Classifier, x, cap: float | None = None,
                 budget: int = 100_000, seed: int = 0,
                 tol: float | None = None) -> CoverageResult:
-    """Coverage of C at x: exact for convex labels and at union points
-    whose component is isolated (its closure meets no other component's,
-    read once per union by `UnionOfPolytopes.isolated`), at any budget;
-    certified lower bound at other union points (per-component exact floor
-    plus straddle search) and for analytic labels (fully sampled)."""
+    """Coverage of C at x, at any budget. Exact for convex labels. A union
+    label's floor, the best exact coverage of the components whose closure
+    holds x, is exact where x's component is isolated (its closure meets no
+    other's, `UnionOfPolytopes.isolated`) or the floor exceeds the cap;
+    elsewhere, as for analytic labels, the sampled search gives a lower
+    bound, which the floor bounds from below."""
     cap, tol = resolve_limits(C, cap, tol, budget)
     x, name = _resolve_query(C, x)
     region = C.labels[name]
@@ -527,32 +528,23 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
     if isinstance(region, (Halfspace, HPolytope)):
         return coverage_exact_convex(x, region, cap, tol, label=name)
 
+    floor = None
     if isinstance(region, UnionOfPolytopes):
-        for comp, isolated in zip(region.polytopes, region.isolated):
-            if isolated and comp.contains(x):
-                # a ball in the label is connected and the closures part it
-                # from every other component, so it lies in x's component
-                return coverage_exact_convex(x, comp, cap, tol, label=name)
-        floor = CoverageResult("zero", "exact")
-        for comp in region.polytopes:
-            if not comp.closure_contains(x, atol=1e-9):
-                continue
-            try:
+        floor, isolated = CoverageResult("zero", "exact"), False
+        for comp, alone in zip(region.polytopes, region.isolated):
+            if comp.closure_contains(x, atol=1e-12):  # the exact route's own test
                 res = coverage_exact_convex(x, comp, cap, tol, label=name)
-            except (PointNotInRegion, EmptyRegion):
-                continue
-            if res.order_key() > floor.order_key():
-                floor = res
-        if floor.kind == "exceeds_cap" or budget <= 0:
+                floor = max(floor, res, key=CoverageResult.order_key)
+                isolated = isolated or (alone and comp.contains(x))
+        # a connected ball cannot leave an isolated component, and a ball
+        # in a component lies in the label
+        if isolated or floor.kind == "exceeds_cap":
+            return floor
+        if budget <= 0:
             return dataclasses.replace(floor, method="lower_bound")
-        # try to beat the per-component floor with straddling balls
-        search = _SampledSearch(region, x, name, cap, budget, seed, tol, C.diameter)
-        return _sampled_result(search, seed, floor)
-
-    if isinstance(region, AnalyticRegion):
-        return _fully_sampled(C, x, name, cap, budget, seed, tol)
-
-    raise TypeError(f"unsupported region type {type(region).__name__}")
+    elif not isinstance(region, AnalyticRegion):
+        raise TypeError(f"unsupported region type {type(region).__name__}")
+    return _sampled_result(C, x, name, cap, budget, seed, tol, floor)
 
 
 def certify_anchor(C: Classifier, A: Anchor, m: int = 10_000,

@@ -312,12 +312,12 @@ def least_distance(A: np.ndarray, h: np.ndarray):
     f[n] = 1.0
     w = _nnls(E, f)
     v = A.T @ w
-    if h @ w < -0.5 * s and math.sqrt(float(v @ v)) <= 1e-12 * (1.0 + w.sum()):
+    if h @ w < -0.5 * s and math.hypot(*v.tolist()) <= 1e-12 * (1.0 + w.sum()):
         return None, w
     res = E @ w - f
     if res[n] != 0.0:
         u = (-s / res[n]) * res[:n]
-        un = math.sqrt(float(u @ u))
+        un = math.hypot(*u.tolist())
         slack = 1e-9 * (s + un)
         Au = A @ u
         if np.all(Au <= h + slack):
@@ -325,7 +325,7 @@ def least_distance(A: np.ndarray, h: np.ndarray):
             total = float(lam.sum())
             e = A.T @ lam + u
             checks = (np.all(lam >= 0.0)
-                      and math.sqrt(float(e @ e)) <= 1e-9 * (un + total)
+                      and math.hypot(*e.tolist()) <= 1e-9 * (un + total)
                       and np.all(lam[Au < h - slack] <= 1e-9 * total))
             return u, (lam if checks else None)
     return None, None
@@ -423,7 +423,7 @@ def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     if method == "exact":
         P = as_polytope(region)
         c, r = B.center, B.radius
-        slack = 1e-9 * (1.0 + np.abs(P.b) + r + math.sqrt(float(c @ c)))
+        slack = 1e-9 * (1.0 + np.abs(P.b) + r + math.hypot(*c.tolist()))
         bad = np.flatnonzero(P.A @ c > P.b - r + slack)
         if bad.size:
             # witness just inside the ball, in the violated direction
@@ -465,7 +465,7 @@ def halfspace_in_region(x, d, region) -> Certificate:
     x, d = as_point(x), as_point(d)
     anti = _anti_parallel(P.A, d)
     gap = P.A @ x - P.b
-    xn = math.sqrt(float(x @ x))
+    xn = math.hypot(*x.tolist())
     bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + xn)))
     if not bad.size:
         return PROVEN

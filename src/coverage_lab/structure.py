@@ -11,14 +11,16 @@ sampled checks. Yes is refined_linear (or True): the canonical hyperplane
 (Hyperplane.unit), the label on its positive side first. classify_structure
 also answers not_refined_linear on a third label (on a boundary segment,
 one that is not negligible) or a boundary that is not coplanar, trivial
-on one label, and inconclusive on no probe or a label budget 0 cannot
-sample. No coverage answer decides a verdict. The verdicts rest on
-finitely many probes and samples: evidence, not proofs.
+on one label, and inconclusive on no probe, boundary points that do not
+determine the fit, or a label budget 0 cannot sample. No coverage answer
+decides a verdict. The verdicts rest on finitely many probes and samples:
+evidence, not proofs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -324,47 +326,66 @@ def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
             for i, end in enumerate(ends)]
 
 
-def _fit_boundary(C: Classifier, probes, la, lb):
+def _fit_boundary(C: Classifier, probes, la, lb, rng):
     """The hyperplane between labels la and lb, fitted to the ends of
-    max(n + 1, 8) segments that pair their probes in turn, bisected by
-    _bisect_boundaries. A segment that meets a negligible label ends on it,
-    as on the boundary; an analytic third label is never negligible here.
-    Returns (hyperplane, None, None), else (None, point, reason) at the
-    first segment that meets a third label that is not negligible, or
-    (None, None, reason) when a label has no probe or the ends are not
-    coplanar."""
-    group_a = [p for p, n in probes if n == la]
-    group_b = [p for p, n in probes if n == lb]
-    if not (group_a and group_b):
-        return None, None, f"no probe landed in label {(lb if group_a else la)!r}"
-    want = max(C.dimension + 1, 8)
-    ends = _bisect_boundaries(C, [(group_a[k % len(group_a)], group_b[k % len(group_b)])
+    max(n + 1, 8) segments, each between a distinct pair of their probes,
+    bisected by _bisect_boundaries. A label with fewer than n + 1 probes
+    gets more, drawn from rng. A segment that meets a negligible label
+    ends on it, as on the boundary; an analytic third label is never
+    negligible here. Returns the Hyperplane, else a verdict without a cap:
+    not_refined_linear at the first segment that meets a third label that
+    is not negligible (its point the witness), or when a label has no probe
+    or the ends are not coplanar; inconclusive when the ends spread along
+    fewer than n - 1 directions by more than 10 times the fit's residual
+    tolerance, where the normal would be arbitrary."""
+    n = C.dimension
+    groups = {la: [p for p, m in probes if m == la], lb: [p for p, m in probes if m == lb]}
+    if not (groups[la] and groups[lb]):
+        reason = f"no probe landed in label {(lb if groups[la] else la)!r}"
+        return StructureVerdict("not_refined_linear", reason=reason)
+    for _ in range(8):  # a label that eight draws miss keeps fewer probes
+        if min(map(len, groups.values())) > n:
+            break
+        for p, m in _feature_space_probes(C, n + 1, rng):
+            if m in groups:
+                groups[m].append(p)
+    group_a, group_b = groups[la], groups[lb]
+    # the pairs (k mod |A|, k mod |B|) repeat after lcm(|A|, |B|) segments;
+    # shifting the second index once per lcm reaches every pair once
+    want, (p, q) = max(n + 1, 8), (len(group_a), len(group_b))
+    lcm = math.lcm(p, q)
+    ends = _bisect_boundaries(C, [(group_a[k % p], group_b[(k + k // lcm) % q])
                                   for k in range(want)], la, lb)
     for pt, other in ends:  # the first segment that meets a third label decides
         if other is not None and (isinstance(C.labels[other], AnalyticRegion)
                                   or not is_negligible_region(C.labels[other])):
-            return None, pt, f"third label {other!r} on boundary segment"
+            return StructureVerdict("not_refined_linear", witness=pt,
+                                    reason=f"third label {other!r} on boundary segment")
     points = np.array([pt for pt, _ in ends])
     centroid = points.mean(axis=0)
     _, svals, vt = np.linalg.svd(points - centroid, full_matrices=True)
-    normal = vt[-1].copy()  # a view would pin vt
-    residual = float(svals[-1]) / np.sqrt(want)  # want > n points: svals has n entries
+    spread = svals / np.sqrt(want)  # want > n points: svals has n entries
     fit_tol = 1e-6 * C.diameter
-    if residual > fit_tol:
-        return None, None, (f"boundary points not coplanar "
-                            f"(residual {residual:.3g} > {fit_tol:.3g})")
-    return Hyperplane(normal, float(normal @ centroid)), None, None
+    rank = int(np.count_nonzero(spread[:n - 1] > 10 * fit_tol))
+    if rank < n - 1:
+        return StructureVerdict("inconclusive", reason=f"boundary fit underdetermined: "
+                                                       f"rank {rank} of {n - 1}")
+    if spread[-1] > fit_tol:
+        return StructureVerdict("not_refined_linear", reason=(
+            f"boundary points not coplanar (residual {spread[-1]:.3g} > {fit_tol:.3g})"))
+    normal = vt[-1].copy()  # a view would pin vt
+    return Hyperplane(normal, float(normal @ centroid))
 
 
-def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int,
+def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int, rng,
                      fitted: Hyperplane | None = None) -> StructureVerdict:
     """Whether labels la and lb hold the two open sides of one hyperplane,
     as a verdict without a cap. A convex label's halfspace is read from its
     rows (_held_halfspace); a union or analytic label must hold its first
-    probe's side of the hyperplane `fitted` (else fitted here) by
-    _fit_boundary on budget samples (_halfspace_in), or else, when budget
-    < 1 cannot sample it, the split is "inconclusive". Read boundaries agree
-    to rounding, a fitted one to 1e-3. "refined_linear" carries the
+    probe's side of the hyperplane `fitted` (else fitted here by
+    _fit_boundary, with rng) on budget samples (_halfspace_in), or else,
+    when budget < 1 cannot sample it, the split is "inconclusive". Read
+    boundaries agree to rounding, a fitted one to 1e-3. "refined_linear" carries the
     canonical hyperplane, read where it can be, and la, lb in side order."""
     convex = [isinstance(C.labels[n], (Halfspace, HPolytope)) for n in (la, lb)]
     held = []  # per label the (u, beta) of the open halfspace {u.p < beta} it holds
@@ -376,9 +397,9 @@ def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int,
             return StructureVerdict("inconclusive", reason=reason)
         else:
             if fitted is None:
-                fitted, _, reason = _fit_boundary(C, probes, la, lb)
-                if fitted is None:
-                    return StructureVerdict("not_refined_linear", reason=reason)
+                fitted = _fit_boundary(C, probes, la, lb, rng)
+                if isinstance(fitted, StructureVerdict):
+                    return fitted
             # the fitted normal is a unit vector, and the side is the label's first probe's
             first = next(p for p, n in probes if n == name)
             d = fitted.a if fitted.signed_distance(first) > 0 else -fitted.a
@@ -407,8 +428,9 @@ def classify_structure(C: Classifier, probe_count: int = 30,
     from geometry alone. "trivial": they carry one label.
     "not_refined_linear": a third label among them, or one that is not
     negligible on a boundary segment, boundary points that are not
-    coplanar, or two labels that fail _halfspace_split. Else _halfspace_split's verdict: "refined_linear" or
-    "inconclusive" (also when no probe is found).
+    coplanar, or two labels that fail _halfspace_split. "inconclusive": no
+    probe found, or boundary points too few to fit (_fit_boundary). Else
+    _halfspace_split's verdict: "refined_linear" or "inconclusive".
 
     A not_refined_linear witness is the point its reason names, if any,
     unless the first probe of a convex label that holds no open halfspace
@@ -416,7 +438,8 @@ def classify_structure(C: Classifier, probe_count: int = 30,
     witness, with that coverage. It is the one coverage query, bounded by
     cap and tol; budget is the split's sample count."""
     cap, tol = resolve_limits(C, cap, tol, budget)
-    probes = _feature_space_probes(C, probe_count, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    probes = _feature_space_probes(C, probe_count, rng)
     if not probes:
         return StructureVerdict("inconclusive", cap=cap,
                                 reason="no feature-space probes found")
@@ -428,11 +451,9 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                                    witness=next(p for p, n in probes if n == seen[2]),
                                    reason=f"more than two labels observed ({seen})")
     else:
-        hyp, pt, reason = _fit_boundary(C, probes, *seen)
-        if hyp is None:  # pt is a third label's point on a segment, else None
-            verdict = StructureVerdict("not_refined_linear", witness=pt, reason=reason)
-        else:
-            verdict = _halfspace_split(C, probes, *seen, budget, seed, fitted=hyp)
+        fit = _fit_boundary(C, probes, *seen, rng)
+        verdict = (fit if isinstance(fit, StructureVerdict)
+                   else _halfspace_split(C, probes, *seen, budget, seed, rng, fitted=fit))
     if verdict.kind == "not_refined_linear":
         # a convex label that holds no open halfspace has bounded coverage
         unheld = {n for n in seen if isinstance(C.labels[n], (Halfspace, HPolytope))
@@ -516,8 +537,8 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     convex = all(isinstance(r, (Halfspace, HPolytope)) for r in C.labels.values())
-    probes = [] if convex else _feature_space_probes(C, probe_count,
-                                                     np.random.default_rng(seed))
+    rng = None if convex else np.random.default_rng(seed)  # convex labels draw nothing
+    probes = [] if convex else _feature_space_probes(C, probe_count, rng)
     seen = {name for _, name in probes}
 
     negligible, full = [], []
@@ -533,7 +554,7 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
         return GeneralizedLinearVerdict(
             False, reason=f"{len(full)} full-dimensional labels, need exactly 2")
 
-    split = _halfspace_split(C, probes, *full, budget, seed)
+    split = _halfspace_split(C, probes, *full, budget, seed, rng)
     if (main := split.hyperplane) is None:  # only a refined_linear split carries one
         return GeneralizedLinearVerdict(False, reason=split.reason)
 

@@ -236,6 +236,30 @@ def test_an_upper_end_without_proof_is_no_exact_answer(n):
                 assert (res.kind, res.method) == ("exceeds_cap", "exact"), depth
 
 
+@pytest.mark.parametrize("height", [1e22, 1e150, 1e160])
+def test_a_far_point_whose_ball_reaches_the_cap_exceeds_it(height):
+    # 1e-14 ||x|| is above the cap probe's radius, so its distance reading
+    # proves nothing; the ball around x, of radius x2, reaches the cap. At
+    # 1e160, x.x overflows (a RuntimeWarning fails the test)
+    x = [0.0, height]
+    res = coverage_at(_halfspace_pair(2), x)
+    assert (res.kind, res.method) == ("exceeds_cap", "exact")
+    for w in res.witnesses:
+        assert w.certificate.kind == "proven" and w.ball.contains(x)
+
+
+def test_the_zero_rule_reads_the_rounding_margin_only():
+    # the zero band is the probe margin 1e-14 (1 + |b| + ||x||): above it
+    # x lies strictly inside U = {x2 > 0}; within it the answer stays Zero
+    C = _halfspace_pair(2)
+    res = coverage_at(C, [1e6, 1e-6])
+    assert (res.kind, res.method) == ("exceeds_cap", "exact")
+    assert coverage_at(C, [1e3, 1e-9]).kind != "zero"
+    for x in ([1e6, 1e-8], [1e3, 1e-11]):
+        res = coverage_at(C, x)
+        assert (res.kind, res.method) == ("zero", "exact"), x
+
+
 @pytest.mark.parametrize("region, x", [
     (Halfspace([0.0, -1.0], 0.0, False), [0.0, 1.0]),  # unbounded coverage
     (unit_box(), [0.5, 0.5]),  # coverage 0.5
@@ -671,16 +695,32 @@ def test_components_whose_closures_meet_keep_the_straddle_search(boxes):
     assert res.method == "lower_bound" and "component_floor" in res.detail
 
 
+def _corner_union() -> Classifier:
+    # U = {x2 > 0} u {x2 <= 0, x1 > 5}, whose components touch, against
+    # D = {x2 <= 0, x1 <= 5}
+    down = Halfspace([0.0, 1.0], 0.0)
+    U = UnionOfPolytopes((HPolytope((Halfspace([0.0, -1.0], 0.0, False),)),
+                          HPolytope((down, Halfspace([-1.0, 0.0], -5.0, False)))))
+    assert U.isolated == (False, False)
+    D = HPolytope((down, Halfspace([1.0, 0.0], 5.0)))
+    return Classifier(dimension=2, labels={"U": U, "D": D})
+
+
 def test_isolated_component_exceeding_the_cap_is_exact():
+    # a component's ball through the cap lies in the label, whether or not
+    # the component touches another
     U = UnionOfPolytopes((HPolytope((Halfspace([1.0, 0.0], 0.0, False),)),
                           HPolytope((Halfspace([-1.0, 0.0], -1.0, False),))))
     assert U.isolated == (True, True)
-    C = Classifier(dimension=2, labels={"U": U})
-    for budget in (0, 2_000):
-        res = coverage_at(C, [-5.0, 5.0], cap=100.0, budget=budget, seed=0)
-        assert res.kind == "exceeds_cap" and res.method == "exact"
-        assert all(a.certificate.kind == "proven" for a in res.witnesses)
-        assert dict(res.detail) == {}
+    cases = [(Classifier(dimension=2, labels={"U": U}), [-5.0, 5.0], 100.0),
+             (_corner_union(), [0.0, 3.0], None)]
+    for C, x, cap in cases:
+        for budget in (0, 2_000):
+            res = coverage_at(C, x, cap=cap, budget=budget, seed=0)
+            assert res.kind == "exceeds_cap" and res.method == "exact"
+            assert all(a.certificate.kind == "proven" and a.ball.contains(x)
+                       for a in res.witnesses)
+            assert dict(res.detail) == {}
 
 
 def test_isolation_is_read_once_per_union(monkeypatch):

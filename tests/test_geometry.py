@@ -209,6 +209,15 @@ def test_ball_in_region_exact_refutation_witness():
     assert not P.contains(cert.witness)
 
 
+def test_ball_in_region_exact_far_from_the_origin():
+    # the slack reads ||c|| without forming c.c, which overflows past 1.3e154:
+    # a ball that reaches x2 = -1e160 leaves {x2 > 0}
+    U = Halfspace([0.0, -1.0], 0.0, False)
+    for height in (1e150, 1e160):
+        assert ball_in_region(Ball([0.0, height], 2 * height), U, "exact").kind == "refuted"
+        assert ball_in_region(Ball([0.0, height], 0.5 * height), U, "exact").kind == "proven"
+
+
 def test_ball_in_region_exact_unsupported_kind():
     class Blob:
         pass

@@ -2,6 +2,8 @@
 estimation, halfspace certificates, structure verdicts, negligibility and
 generalized-binary-linear recognition."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -518,12 +520,13 @@ def test_classify_slab_queries_only_the_middle_label(monkeypatch, n):
 
 
 def test_classify_splits_a_pair_with_a_probe_within_the_zero_margin(monkeypatch):
-    # (1, -1e-13) lies within the exact route's zero margin of A's facet,
+    # (1, -1e-14) lies within the exact route's zero margin of A's facet,
     # where a coverage query answers zero; the rows still show that A and B
     # hold the two sides of x2 = 0, and no query is made
     C = Classifier(2, {"A": Halfspace([0.0, 1.0], 0.0, True),
                        "B": Halfspace([0.0, -1.0], 0.0, False)})
-    batch = np.array([[3.0, -1.0], [1.0, -1e-13], [2.0, 1.0]])
+    assert coverage_at(C, [1.0, -1e-14]).kind == "zero"
+    batch = np.array([[3.0, -1.0], [1.0, -1e-14], [2.0, 1.0]])
     monkeypatch.setattr(structure, "sample_box", lambda box, rng, count: batch.copy())
     points = _counting_queries(monkeypatch)
     v = classify_structure(C, probe_count=3)
@@ -836,6 +839,67 @@ def test_classify_splits_a_non_convex_pair(monkeypatch, case, seed, refine):
     assert v.kind == "refined_linear", v.reason
     assert _angle(v.hyperplane.a, normal) <= 1e-3
     assert points == []
+
+
+def _lifted_pairs(n: int) -> dict:
+    """(classifier, boundary normal or None) on [-10, 10]^n: the quadrant
+    union {xn > 0} split at x1 = 0 against {xn <= 0}, an analytic pair
+    tilted across every coordinate, and the wedge {xn > 0, xn > 1e-3 x1},
+    which holds no halfspace, against its complement."""
+    def e(i, scale=1.0):
+        v = np.zeros(n)
+        v[i] = scale
+        return v
+    box = [[-10.0] * n, [10.0] * n]
+    up = Halfspace(e(n - 1, -1.0), 0.0, False)
+    tilt = np.array([(1.0, 2.0, -3.0)[i % 3] for i in range(n)])
+    text = " + ".join(f"{a:g}*x{i + 1}" for i, a in enumerate(tilt))
+    wedge = HPolytope((up, Halfspace(e(0, 1e-3) - e(n - 1), 0.0, False)))
+    rest = UnionOfPolytopes((HPolytope((Halfspace(e(n - 1), 0.0),)),
+                             HPolytope((Halfspace(e(n - 1) - e(0, 1e-3), 0.0),))))
+    return {
+        "quadrants": (Classifier(n, {
+            "A": UnionOfPolytopes((HPolytope((up, Halfspace(e(0), 0.0, False))),
+                                   HPolytope((up, Halfspace(e(0, -1.0), 0.0))))),
+            "B": Halfspace(e(n - 1), 0.0)}, domain_box=box), e(n - 1)),
+        "tilted": (Classifier(n, {"P": analytic(f"{text} > 1", n),
+                                  "N": analytic(f"{text} <= 1", n)}, domain_box=box), tilt),
+        "wedge": (Classifier(n, {"W": wedge, "R": rest}, domain_box=box), None),
+    }
+
+
+@pytest.mark.parametrize("n", [26, 30, 40, 60])
+def test_boundary_fit_is_determined_in_high_dimension(n):
+    # the fit's ends span the boundary: n + 1 probes per label and segments
+    # between distinct pairs of them. With 30 probes, repeated pairs left
+    # the fit underdetermined, and its arbitrary normal refuted a label
+    start = time.perf_counter()
+    for name, (C, normal) in _lifted_pairs(n).items():
+        for seed in (0, 1, 2):
+            v = classify_structure(C, seed=seed)
+            g = is_generalized_binary_linear(C, seed=seed)
+            if normal is None:
+                assert v.kind == "not_refined_linear", (name, seed)
+                assert not g.is_generalized_binary_linear, (name, seed)
+                continue
+            assert v.kind == "refined_linear", (name, seed, v.reason)
+            assert _angle(v.hyperplane.a, normal) <= 1e-3
+            assert g.is_generalized_binary_linear, (name, seed, g.reason)
+            assert _angle(g.hyperplane.a, normal) <= 1e-3
+    assert time.perf_counter() - start < 5.0
+
+
+def test_boundary_fit_in_a_thin_box_is_inconclusive():
+    # the box is 2e-9 thick along x3, so no boundary points spread along
+    # it, and a fitted normal would be arbitrary in the x1-x3 plane
+    C = Classifier(3, {"P": analytic("x1 > 0", 3), "N": analytic("x1 <= 0", 3)},
+                   domain_box=[[-10.0, -10.0, -1e-9], [10.0, 10.0, 1e-9]])
+    v = classify_structure(C, seed=0)
+    assert v.kind == "inconclusive"
+    assert v.reason == "boundary fit underdetermined: rank 1 of 2"
+    g = is_generalized_binary_linear(C, seed=0)
+    assert not g.is_generalized_binary_linear
+    assert g.reason == "boundary fit underdetermined: rank 1 of 2"
 
 
 def test_classify_query_audit(monkeypatch):
