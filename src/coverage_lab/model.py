@@ -200,10 +200,11 @@ def label_of(C: Classifier, x) -> str:
 def labels_of(C: Classifier, X: np.ndarray) -> list:
     """label_of for each row of X, or None where it would raise NoLabel,
     AmbiguousLabel or EvalError. The batch takes one contains_many per
-    region; a batch that cannot be evaluated is labelled row by row, so that
-    only the rows at fault get None. A row with a non-finite coordinate is
-    no point: an analytic label raises EvalError on it, so it gets None
-    where C has one."""
+    region; a batch that cannot be evaluated is split in halves, down to
+    single rows, so that only the rows at fault get None: one such row in m
+    costs each region at most 2 ceil(log2 m) more calls. A row with a
+    non-finite coordinate is no point: an analytic label raises EvalError
+    on it, so it gets None where C has one."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != C.dimension:
         raise DimensionMismatch(
@@ -211,9 +212,10 @@ def labels_of(C: Classifier, X: np.ndarray) -> list:
     try:
         names, masks = _claims(C, X)
     except EvalError:
-        if X.shape[0] == 1:
-            return [None]
-        return [labels_of(C, X[i:i + 1])[0] for i in range(X.shape[0])]
+        if X.shape[0] <= 1:
+            return [None] * X.shape[0]
+        half = X.shape[0] // 2
+        return labels_of(C, X[:half]) + labels_of(C, X[half:])
     unique = masks.sum(axis=0) == 1
     return [names[j] if ok else None
             for j, ok in zip(masks.argmax(axis=0).tolist(), unique.tolist())]

@@ -215,6 +215,27 @@ def test_labels_of_rows_that_cannot_be_evaluated_get_none():
     assert [g is None for g in got] == overflow.tolist()
 
 
+def test_labels_of_splits_a_batch_with_a_bad_row_in_halves(monkeypatch):
+    # one row of 128 overflows exp: the batch is halved down to that row,
+    # one failing and one clean call per level, not labelled row by row
+    C = Classifier(dimension=2, labels={"up": analytic("exp(x1) > 1", 2),
+                                        "down": analytic("exp(x1) <= 1", 2)})
+    X = sample_box(C.domain_box, np.random.default_rng(4), 128)
+    X[77, 0] = 710.0
+    want = [labels_of(C, X[i:i + 1])[0] for i in range(128)]
+    assert want[77] is None and None not in want[:77] + want[78:]
+    contains_many = AnalyticRegion.contains_many
+
+    def counting(region, Y):
+        calls[region.predicate.source] += 1
+        return contains_many(region, Y)
+
+    monkeypatch.setattr(AnalyticRegion, "contains_many", counting)
+    calls = {C.labels[name].predicate.source: 0 for name in C.labels}
+    assert labels_of(C, X) == want
+    assert max(calls.values()) <= 2 * 7 + 1
+
+
 def test_labels_of_shape_checks_and_claims():
     C = binary_linear()
     assert labels_of(C, np.zeros((0, 2))) == []

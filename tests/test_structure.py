@@ -2,6 +2,7 @@
 estimation, halfspace certificates, structure verdicts, negligibility and
 generalized-binary-linear recognition."""
 
+import math
 import time
 
 import numpy as np
@@ -24,7 +25,7 @@ from coverage_lab.structure import (_bisect_boundaries, _feature_space_probes,
                                     is_negligible_region, refine_boundary)
 from coverage_lab.verify import (growth_anchor_sequence,
                                  random_quadrant_classifier,
-                                 random_slab_classifier)
+                                 random_slab_classifier, two_quadrant_union)
 
 SHIPPED = ("fig1.json", "fig3.json", "linear.json", "refined_linear.json",
            "generalized_linear.json", "trivial.json")
@@ -364,7 +365,27 @@ def _assert_lockstep_matches_scalar(C, segments, la, lb):
     return got
 
 
-def test_lockstep_bisection_matches_scalar_reference():
+def _record_bisections(monkeypatch) -> list:
+    """Patches the structure module so that each _bisect_boundaries call
+    appends (segments, la, lb, labels_of calls it made) to the list returned."""
+    calls, seen = [0], []
+
+    def counting_labels_of(C, X):
+        calls[0] += 1
+        return labels_of(C, X)
+
+    def recording(C, segments, la, lb):
+        before = calls[0]
+        ends = _bisect_boundaries(C, segments, la, lb)
+        seen.append((segments, la, lb, calls[0] - before))
+        return ends
+
+    monkeypatch.setattr(structure, "labels_of", counting_labels_of)
+    monkeypatch.setattr(structure, "_bisect_boundaries", recording)
+    return seen
+
+
+def test_lockstep_bisection_matches_scalar_reference(monkeypatch):
     rng = np.random.default_rng(5)
     for i in range(24):
         n = 2 + i % 4
@@ -382,6 +403,28 @@ def test_lockstep_bisection_matches_scalar_reference():
     fig1 = load_builtin("fig1.json")
     ends = _assert_lockstep_matches_scalar(fig1, _segments(fig1, rng, "E", "F", 16), "E", "F")
     assert {"C", "D"} & {other for _, other in ends}
+    # union labels: fig3's boxes, and the upper half-plane as two quadrants
+    for C, la, lb in ((load_builtin("fig3.json"), "M", "N"), (two_quadrant_union(), "A", "B")):
+        ends = _assert_lockstep_matches_scalar(C, _segments(C, rng, la, lb, 16), la, lb)
+        assert all(other is None for _, other in ends)
+    # at seed 2 a midpoint of generalized_linear's fit lands exactly on the
+    # ray x2 = 0, a negligible label, where that segment ends
+    C = load_builtin("generalized_linear.json")
+    seen = _record_bisections(monkeypatch)
+    assert classify_structure(C, seed=2).kind == "refined_linear"
+    (segments, la, lb, _), = seen
+    ends = _assert_lockstep_matches_scalar(C, segments, la, lb)
+    on_ray = [p for p, other in ends if other in ("Rplus", "Rminus")]
+    assert on_ray and all(p[1] == 0.0 for p in on_ray)
+
+
+def test_bisection_labels_several_levels_per_call(monkeypatch):
+    # fig3 has no third label, so each segment bisects to 1e-14 in 47 steps;
+    # one labels_of call per step would make 47
+    seen = _record_bisections(monkeypatch)
+    classify_structure(load_builtin("fig3.json"), probe_count=8, budget=20_000, seed=0)
+    (_, _, _, calls), = seen
+    assert calls <= math.ceil(47 / structure.LEVELS) + 1
 
 
 def test_lockstep_bisection_third_label_on_a_slab():
