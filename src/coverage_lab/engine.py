@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (EmptyPolytope, EmptyRegion, NoLabel, PointNotInAnyLabel,
                      PointNotInRegion, RefinementPoint)
-from .geometry import (Ball, Certificate, Halfspace, HPolytope, as_point,
+from .geometry import (Ball, Certificate, Halfspace, HPolytope, _margin, as_point,
                        as_polytope, ball_in_region, project_onto_polytope,
                        sample_in_ball, sampled_inside, shrink_polytope)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
@@ -126,31 +126,14 @@ def compare_results(r1: CoverageResult, r2: CoverageResult, tol: float = 0.0) ->
 
 # --- exact convex route ----------------------------------------------------
 
-def _margin(x: np.ndarray, r):
-    """mu = 1e-14 (1 + r + ||x||) of _feasible_center, at x against radius or
-    offset r; math.hypot takes ||x|| without the overflow of x.x."""
-    return 1e-14 * (1.0 + r + math.hypot(*x.tolist()))
-
-
 def _feasible_center(x: np.ndarray, P: HPolytope, r: float):
     """(center, r, False) of a radius-r ball inscribed in P that contains x
     strictly, else (None, bound, empty): no radius above bound <= r is
     feasible, and `empty` says whether P shrunk by r is empty. bound is None
     when the probe proves nothing: an empty body without a checked Farkas
     vector, multipliers that do not check out, or a distance d from x to
-    the body within the margin mu = _margin(x, r) of r.
-
-    mu bounds the rounding of d, and of ||x - c|| as Ball.contains reads it
-    back for the center c = x + u: forming c and then x - c rounds each
-    coordinate by at most eps/2 (|x_i| + |u_i|) twice (eps = 2**-52), which
-    moves the distance by at most eps (||x|| + d), and a norm of n terms
-    reads within (n + 2) eps / 2 of its value, relative. So a reading near r
-    is off by less than (n + 3) eps (||x|| + r) <= mu for n <= 42. Only
-    d < r - mu is read as feasible, and only d >= r + mu, with checked
-    multipliers, as infeasible. With r = |b|, mu bounds the rounding of the
-    zero rule's slack b - a.x on a unit row as well, (n + 1) eps (|b| +
-    ||x||) (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    section 3.1), so a slack read above mu is positive.
+    the body within mu = _margin(x, r) of r, its rounding: only d < r - mu
+    is feasible, and only d >= r + mu, with checked multipliers, infeasible.
 
     An empty body's Farkas vector w proves it empty at every r' > b.w /
     sum(w). A body at distance d >= r + mu from x gives the Newton bound:
@@ -199,30 +182,27 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     probe lowers the upper end to its bound: an empty body's Farkas bound,
     or the Newton bound of a body too far from x (see _feasible_center).
     The next probe goes 0.4 tol under it, which closes the bracket where
-    the bound is the answer. Newton bounds fall
-    superlinearly to the answer, which is a simple root of the convex
-    dist(x, P_r) - r; an empty probe that lowers the upper end by less than
-    half the bracket is followed by a midpoint, and so is a probe that gives
-    no bound. A probe that proves nothing lowers the upper end to its radius
-    too, but the answer is then a lower bound: radius lo, the largest radius
-    whose ball is proven, which is also the witness.
-    Raises ExactUnsupported for a region that is not convex.
+    the bound is the answer. Newton bounds fall superlinearly to the
+    answer, which is a simple root of the convex dist(x, P_r) - r; an empty
+    probe that lowers the upper end by less than half the bracket is
+    followed by a midpoint, and so is a probe that gives no bound. A probe
+    that proves nothing lowers the upper end to its radius too, but the
+    answer is then a lower bound: radius lo, the largest radius whose ball
+    is proven, which is also the witness. Raises ExactUnsupported for a
+    region that is not convex.
     """
     x = as_point(x)
     _check_limits(cap, tol)
     tol = float(tol)  # a numpy tol would make the probe radii numpy scalars
     P = as_polytope(region)
-    if not P.contains(x):
-        # boundary points of closed regions are members; anything else is out
-        if not P.closure_contains(x, atol=1e-12):
-            try:
-                project_onto_polytope(x, P)
-            except EmptyPolytope:
-                raise EmptyRegion("region is empty")
-            raise PointNotInRegion(f"query point {list(x)} is not in the region")
-
-    slack = P.b - P.A @ x
-    if np.any(slack <= _margin(x, np.abs(P.b))):
+    slack, mu = P.b - P.A @ x, _margin(x, np.abs(P.b))
+    if not P.contains(x) and np.any(slack < -mu):  # nor in the closure, to rounding
+        try:
+            project_onto_polytope(x, P)
+        except EmptyPolytope:
+            raise EmptyRegion("region is empty")
+        raise PointNotInRegion(f"query point {list(x)} is not in the region")
+    if np.any(slack <= mu):
         return CoverageResult("zero", "exact")
 
     def anchor(c, r):
@@ -532,7 +512,7 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
     if isinstance(region, UnionOfPolytopes):
         floor, isolated = CoverageResult("zero", "exact"), False
         for comp, alone in zip(region.polytopes, region.isolated):
-            if comp.closure_contains(x, atol=1e-12):  # the exact route's own test
+            if comp.closure_contains(x):  # the exact route's own test
                 res = coverage_exact_convex(x, comp, cap, tol, label=name)
                 floor = max(floor, res, key=CoverageResult.order_key)
                 isolated = isolated or (alone and comp.contains(x))
@@ -555,6 +535,5 @@ def certify_anchor(C: Classifier, A: Anchor, m: int = 10_000,
     if A.label not in C.labels:
         raise KeyError(f"unknown label {A.label!r}")
     region = C.labels[A.label]
-    if isinstance(region, (Halfspace, HPolytope)):
-        return ball_in_region(A.ball, region, "exact")
-    return ball_in_region(A.ball, region, ("sampled", m, seed))
+    exact = isinstance(region, (Halfspace, HPolytope))
+    return ball_in_region(A.ball, region, "exact" if exact else ("sampled", m, seed))

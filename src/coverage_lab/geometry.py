@@ -60,6 +60,19 @@ def _dot_rows(R: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _margin(x: np.ndarray, r):
+    """mu = 1e-14 (1 + r + ||x||), the rounding that every exact row test
+    forgives at x against a radius or offset r (one per row for an array of
+    offsets); math.hypot takes ||x|| without overflow. For n <= 42 and eps =
+    2**-52 it bounds the rounding of a slack b - a.x on a unit row, (n + 1)
+    eps (|b| + ||x||) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1), and of a distance d from x or ||x - c||
+    for c = x + u: forming c and x - c rounds each coordinate by at most
+    eps/2 (|x_i| + |u_i|) twice, and a norm of n terms reads within (n + 2)
+    eps / 2, relative: a reading near r is off by < (n + 3) eps (||x|| + r) <= mu."""
+    return 1e-14 * (1.0 + r + math.hypot(*x.tolist()))
+
+
 def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator,
                    m: int, surface: bool = False) -> np.ndarray:
     """Uniform samples from an open ball, or from just inside its surface.
@@ -221,8 +234,10 @@ class HPolytope:
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         return (_dot_rows(self._rows, X) < self._strict[:, None]).all(axis=0)
 
-    def closure_contains(self, x, atol: float = 0.0) -> bool:
-        return bool((self.A @ as_point(x) <= self.b + atol).all())
+    def closure_contains(self, x) -> bool:
+        """x in the closure up to rounding: b - A x >= -_margin(x, |b|) per row."""
+        x = as_point(x)
+        return bool((self.b - self.A @ x >= -_margin(x, np.abs(self.b))).all())
 
 
 def as_polytope(region) -> HPolytope:
@@ -413,21 +428,23 @@ def sampled_inside(region, batches) -> tuple:
 def ball_in_region(B: Ball, region, method="exact") -> Certificate:
     """Certify B inside `region`.
 
-    method='exact' supports Halfspace and HPolytope only and returns
-    proven/refuted: A c <= b - r on the unit rows, up to a float-relative
-    slack. method=('sampled', m, seed) draws m >= 1 uniform interior
-    points (half of them just inside the surface) and refutes on the first
-    point outside the region, or when some point's label cannot be
-    evaluated; else it returns unfalsified.
+    method='exact' supports Halfspace and HPolytope only: proven when every
+    unit row's slack b - r - a.c reads >= -_margin(c, |b| + r), inside or
+    tangent up to rounding, else refuted with a witness in the open ball
+    strictly past the first failing row. method=('sampled', m, seed) draws
+    m >= 1 uniform interior points (half of them just inside the surface)
+    and refutes on the first point outside the region, or when some point's
+    label cannot be evaluated; else it returns unfalsified.
     """
     if method == "exact":
         P = as_polytope(region)
         c, r = B.center, B.radius
-        slack = 1e-9 * (1.0 + np.abs(P.b) + r + math.hypot(*c.tolist()))
-        bad = np.flatnonzero(P.A @ c > P.b - r + slack)
+        slack = P.b - r - P.A @ c
+        bad = np.flatnonzero(slack < -_margin(c, np.abs(P.b) + r))
         if bad.size:
-            # witness just inside the ball, in the violated direction
-            return Certificate("refuted", witness=c + (r * (1.0 - 1e-9)) * P.A[bad[0]])
+            # row i's excess e = -slack > mu: this point is in the ball, >= e/2 past the row
+            e = min(-float(slack[bad[0]]), r)
+            return Certificate("refuted", witness=c + (r - 0.5 * e) * P.A[bad[0]])
         return PROVEN
 
     kind, m, seed = method
@@ -457,16 +474,15 @@ def halfspace_in_region(x, d, region) -> Certificate:
     supremum -d.x is approached but never attained; so H lies inside
     exactly when every unit row is -d and x meets it.
 
-    A row counts as -d when |u + d| <= 1e-13, which only rounding reaches.
-    The answer is proven or refuted; a refutation's witness lies in H and
-    violates the first failing row.
+    A row counts as -d when |u + d| <= 1e-13, and x meets it when u.x - b
+    <= _margin(x, |b|): only rounding reaches either. Proven or refuted; a
+    refutation's witness lies in H and violates the first failing row.
     """
     P = as_polytope(region)
     x, d = as_point(x), as_point(d)
     anti = _anti_parallel(P.A, d)
     gap = P.A @ x - P.b
-    xn = math.hypot(*x.tolist())
-    bad = np.flatnonzero(~anti | (gap > 1e-9 * (1.0 + np.abs(P.b) + xn)))
+    bad = np.flatnonzero(~anti | (gap > _margin(x, np.abs(P.b))))
     if not bad.size:
         return PROVEN
     i = int(bad[0])
@@ -475,7 +491,7 @@ def halfspace_in_region(x, d, region) -> Certificate:
     # step k > 2|gap| along d into H, where u.p changes by k u.d; when
     # u.d < 1/2, step on along w, u's part across d, until u.p has grown
     # by 2k more while d.p stays
-    k = 1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + xn
+    k = 1.0 + 2.0 * abs(gap[i]) + abs(P.b[i]) + math.hypot(*x.tolist())
     ud = float(P.A[i] @ d)
     if ud >= 0.5:
         return Certificate("refuted", witness=x + k * d)

@@ -35,7 +35,7 @@ import numpy as np
 from . import dsl
 from .errors import (AmbiguousLabel, DimensionMismatch, EvalError, NoLabel,
                      SchemaError, SpecParseError)
-from .geometry import (Halfspace, HPolytope, _dot_rows, as_point,
+from .geometry import (Halfspace, HPolytope, _check_dim, _dot_rows, as_point,
                        closures_disjoint)
 
 REFINEMENT = "refinement"
@@ -54,10 +54,9 @@ class UnionOfPolytopes:
         ps = tuple(self.polytopes)
         if not ps:
             raise ValueError("union must contain at least one polytope")
+        if len({p.dimension for p in ps}) != 1:
+            raise DimensionMismatch("inconsistent polytope dimensions in union")
         n = ps[0].dimension
-        for p in ps:
-            if p.dimension != n:
-                raise DimensionMismatch("inconsistent polytope dimensions in union")
         object.__setattr__(self, "polytopes", ps)
         # every polytope's rows, padded to one count with rows 0.x < inf
         k = max(len(p.b) for p in ps)
@@ -84,7 +83,9 @@ class UnionOfPolytopes:
         return tuple(not t for t in touching)
 
     def contains(self, x) -> bool:
-        return any(p.contains(x) for p in self.polytopes)
+        x = as_point(x)
+        _check_dim(x, self._rows[0])
+        return bool(self.contains_many(x[None, :])[0])
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         v = _dot_rows(self._rows, X).reshape(self._strict.shape[:2] + (X.shape[0],))

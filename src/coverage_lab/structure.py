@@ -299,30 +299,34 @@ LEVELS = 4  # bisection steps per labels_of call: 3 to 5 measured alike, 6 slowe
 
 def _bisect_boundaries(C: Classifier, segments, la, lb) -> list:
     """Boundary points on the segments (pa, pb) whose endpoints carry labels
-    la and lb, bisected in lockstep, LEVELS steps per labels_of call: the
-    call labels every running segment's dyadic grid of 2**LEVELS - 1 points
-    over [lo, hi], and a binary search walks each grid (a point's label does
-    not depend on its batch, so the points it skips are merely dropped). lo
-    and hi stay dyadic, so a segment stops once its interval is 1e-14 wide,
-    after 47 steps, at the midpoint, or at a point of another label. Returns
-    a (point, other) pair per segment: other is the third label met there,
-    or None (the refinement set or no label ends a segment too, with None)."""
+    la and lb, bisected in lockstep: each labels_of call labels every
+    running segment's dyadic grid of 2**k - 1 points over [lo, hi], and a
+    binary search walks each grid (a point's label does not depend on its
+    batch, so the points it skips are merely dropped). The segments stay
+    equally wide and dyadic, and k is the steps that width needs, at most
+    LEVELS: a segment stops once 1e-14 wide, after 47 steps, at the
+    midpoint, or at a point of another label. Returns a (point, other) pair
+    per segment: other is the third label met there, or None (the
+    refinement set or no label ends a segment too, with None)."""
     pa = np.array([s[0] for s in segments])
     seg = np.array([s[1] for s in segments]) - pa
     lo, hi = [0.0] * len(segments), [1.0] * len(segments)
     ends = [None] * len(segments)
-    running, width = list(range(len(segments))), 2 ** LEVELS
+    running = list(range(len(segments)))
     while running:
+        # width / 1e-14 = 5**14 * 2**(14 - m): its log2 is 0.507 off an integer
+        levels = min(LEVELS, math.ceil(math.log2((hi[running[0]] - lo[running[0]]) / 1e-14)))
+        width = 2 ** levels
         grid = np.empty((len(running), width + 1))
         grid[:, 0], grid[:, -1] = [lo[i] for i in running], [hi[i] for i in running]
         # each point is 0.5 * (lo + hi) of the interval it halves, to the bit
-        for step in (width >> k for k in range(LEVELS)):
+        for step in (width >> k for k in range(levels)):
             grid[:, step // 2::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
         pts = pa[running, None] + grid[:, 1:-1, None] * seg[running, None]
         names = labels_of(C, pts.reshape(-1, C.dimension))
         for row, (i, g) in enumerate(zip(running, grid.tolist())):
             a, b = 0, width
-            while b - a > 1 and g[b] - g[a] > 1e-14:
+            while b - a > 1:
                 m = (a + b) // 2
                 name = names[row * (width - 1) + m - 1]
                 if name not in (la, lb):

@@ -353,6 +353,27 @@ def test_compare_reports_skipped(capsys, spec_path_factory, tmp_path):
     assert "skipped" in kv(out)
 
 
+def test_compare_points_file_gives_one_entry_per_point_in_file_order(
+        capsys, spec_path_factory, tmp_path):
+    spec = spec_path_factory("fig3.json")
+    points = tmp_path / "points.txt"
+    points.write_text("10,10\n\n5,0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "compare", "--classifier", spec, "--other", spec,
+                           "--points-file", str(points), "--budget", "0")
+    assert code == 0
+    entries = [line.split(": ", 1)[1] for line in out.splitlines()
+               if line.startswith("point: ")]
+    assert entries == ["10,10", "5,0"]
+    assert out.count("relation: equal") == 2
+
+
+def test_compare_needs_a_point_or_a_points_file(capsys, spec_path_factory):
+    spec = spec_path_factory("fig3.json")
+    code, out, err = run_cli(capsys, "compare", "--classifier", spec, "--other", spec)
+    assert code == 2 and out == ""
+    assert err == "error: compare needs --point or --points-file\n"
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_subset_determinism(capsys, tmp_path):

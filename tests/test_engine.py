@@ -723,6 +723,34 @@ def test_isolated_component_exceeding_the_cap_is_exact():
             assert dict(res.detail) == {}
 
 
+def _far_isolated_union():
+    """U = {a.p <= b} u {a.p >= b + 1000}, whose closures are disjoint,
+    against the slab V between them, and a far point x on U's closed
+    facet: b = a.x as membership sums it. The facet's unit row reads x
+    7e-11 outside, which an absolute 1e-12 closure test took for a point
+    off the component."""
+    a = [-5.886684071327974, -1.9363001412680765]
+    x = [-252207.61254591608, 1184213.7322787463]
+    b = a[0] * x[0] + a[1] * x[1]
+    minus_a = [-v for v in a]
+    U = UnionOfPolytopes((HPolytope((Halfspace(a, b),)),
+                          HPolytope((Halfspace(minus_a, -b - 1000.0),))))
+    assert U.isolated == (True, True)
+    V = HPolytope((Halfspace(a, b + 1000.0, False), Halfspace(minus_a, -b, False)))
+    return Classifier(dimension=2, labels={"U": U, "V": V}), x
+
+
+@pytest.mark.parametrize("budget", [0, 2_000])
+def test_a_far_member_on_an_isolated_component_s_facet_is_exact_zero(budget):
+    # x is U's boundary point, and its component is isolated: Zero, exact,
+    # with no straddle search (it answered Zero, lower_bound)
+    C, x = _far_isolated_union()
+    assert C.labels["U"].polytopes[0].closure_contains(x)
+    res = coverage_at(C, x, budget=budget, seed=0)
+    assert (res.kind, res.method) == ("zero", "exact")
+    assert dict(res.detail) == {}
+
+
 def test_isolation_is_read_once_per_union(monkeypatch):
     # fig3 has one pair of M components and six pairs of N components; the
     # pair checks run at each union's first query, not at every query
@@ -759,6 +787,20 @@ def test_certify_anchor_exact_proven_and_refuted():
     cert = certify_anchor(C, bad)
     assert cert.kind == "refuted"
     assert not region.contains(cert.witness)
+
+
+@pytest.mark.parametrize("radius, excess", [(5e7, 0.04), (1e9, 0.9)])
+def test_certify_anchor_refutes_a_far_ball_that_leaves_the_label(radius, excess):
+    # the ball reaches x2 = -excess, outside U = {x2 > 0}
+    C = _halfspace_pair(2)
+    ball = Ball([0.0, radius - excess], radius)
+    anchor = Anchor(ball, ball.center, "U", geometry.PROVEN)
+    cert = certify_anchor(C, anchor)
+    assert cert.kind == "refuted"
+    assert ball.contains(cert.witness) and not C.labels["U"].contains(cert.witness)
+    tangent = Ball([0.0, radius], radius)
+    assert certify_anchor(C, Anchor(tangent, tangent.center, "U",
+                                    geometry.PROVEN)).kind == "proven"
 
 
 def test_certify_anchor_sampled_on_curved_region():

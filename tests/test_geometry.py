@@ -218,6 +218,27 @@ def test_ball_in_region_exact_far_from_the_origin():
         assert ball_in_region(Ball([0.0, height], 0.5 * height), U, "exact").kind == "proven"
 
 
+@pytest.mark.parametrize("radius, excess", [(5e7, 0.04), (1e9, 0.9)])
+def test_ball_in_region_exact_refutes_a_far_ball_that_leaves_the_label(radius, excess):
+    # B((0, r - e), r) reaches x2 = -e, outside {x2 > 0}; e is far above
+    # the rounding margin 1e-14 (1 + 2r), which a slack of 1e-9 (1 + 2r)
+    # used to forgive. The tangent ball B((0, r), r) stays proven
+    U = Halfspace([0.0, -1.0], 0.0, False)
+    B = Ball([0.0, radius - excess], radius)
+    cert = ball_in_region(B, U, "exact")
+    assert cert.kind == "refuted"
+    assert B.contains(cert.witness) and not U.contains(cert.witness)
+    assert ball_in_region(Ball([0.0, radius], radius), U, "exact").kind == "proven"
+
+
+def test_ball_in_region_exact_witness_of_a_ball_centred_outside():
+    # the excess 6 is above r = 1: the witness steps r/2 from the center
+    U = Halfspace([0.0, -1.0], 0.0, False)
+    B = Ball([0.0, -5.0], 1.0)
+    cert = ball_in_region(B, U, "exact")
+    assert cert.kind == "refuted" and np.array_equal(cert.witness, [0.0, -5.5])
+
+
 def test_ball_in_region_exact_unsupported_kind():
     class Blob:
         pass
@@ -311,6 +332,18 @@ def test_halfspace_in_region_refutes_slightly_tilted_rows():
     assert float(d @ (w - x)) > 0 and not row.contains(w)
     exact = Halfspace([0.0, -3.0], 0.0)
     assert halfspace_in_region(x, d, exact).kind == "proven"
+
+
+def test_halfspace_in_region_refutes_a_far_base_point_off_the_row():
+    # H = {p2 > -0.5} leaves {x2 > 0}: from (1e9, -0.5) the gap 0.5 is far
+    # above the margin 1e-14 (1 + 1e9), which a gap of 1e-9 (1 + 1e9) forgave
+    U, d = Halfspace([0.0, -1.0], 0.0, False), np.array([0.0, 1.0])
+    x = np.array([1e9, -0.5])
+    cert = halfspace_in_region(x, d, U)
+    assert cert.kind == "refuted"
+    assert float(d @ (cert.witness - x)) > 0 and not U.contains(cert.witness)
+    assert halfspace_in_region([1e9, 0.0], d, U).kind == "proven"
+    assert halfspace_in_region([0.0, -1e-10], d, U).kind == "refuted"
 
 
 def test_halfspace_in_region_tilt_witnesses_hold_in_floats():
@@ -416,7 +449,7 @@ def test_projection_matches_halfspace_formula_randomly():
         z, d = project_onto_polytope(x, P)
         expected = max(0.0, (float(a @ x) - b) / np.linalg.norm(a))
         assert abs(d - expected) < 1e-8
-        assert P.closure_contains(z, atol=1e-8)
+        assert (P.A @ z <= P.b + 1e-8).all()
 
 
 def test_projection_distance_is_minimal_among_samples():
@@ -545,6 +578,24 @@ def test_empty_check_in_high_dimension_is_fast_and_proved(n, m):
     z, d = project_onto_polytope(x, shrink_polytope(P, 3.0 * (1 - 1e-6)))
     assert np.linalg.norm(z) < 1e-4
     assert abs(d - np.linalg.norm(x)) < 1e-4
+
+
+def test_closure_contains_every_member_far_from_the_origin():
+    # a closed row through x, with b = a.x summed as membership sums it,
+    # holds x; its unit row reads x outside by rounding, which the margin
+    # forgives and an absolute 1e-12 did not. A step of 1e-9 (1 + ||x||)
+    # out of the row is no rounding
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        n = int(rng.integers(2, 6))
+        a = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3)
+        x = rng.standard_normal(n) * 10 ** rng.uniform(0, 8)
+        b = 0.0
+        for ai, xi in zip(a.tolist(), x.tolist()):
+            b += ai * xi
+        P = HPolytope((Halfspace(a, b),))
+        assert P.contains(x) and P.closure_contains(x)
+        assert not P.closure_contains(x + (1e-9 * (1.0 + np.linalg.norm(x))) * P.A[0])
 
 
 def test_shrink_polytope_moves_offsets_only():

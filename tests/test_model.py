@@ -99,6 +99,22 @@ def test_union_membership_is_each_polytope_s():
     assert u.contains_many(np.zeros((0, 3))).shape == (0,)
 
 
+def test_union_scalar_membership_is_the_batch_s():
+    # contains reads contains_many's padded rows: on fig3's 20x20 grid, and
+    # on the faces and corners its components share, each closed on one
+    # side and open on the other
+    from coverage_lab.field import grid_points
+    C = load_builtin("fig3.json")
+    coords = [-20.0, -18.0, -10.0, -7.0, -1.0, 0.0, 1.0, 7.0, 10.0, 18.0, 20.0]
+    faces = np.array([[u, v] for u in coords for v in coords])
+    for U in C.labels.values():
+        for X in (grid_points(C.domain_box, (20, 20)), faces):
+            want = [any(p.contains(x) for p in U.polytopes) for x in X]
+            assert [U.contains(x) for x in X] == U.contains_many(X).tolist() == want
+        with pytest.raises(DimensionMismatch):
+            U.contains([0.0, 0.0, 0.0])
+
+
 def test_analytic_region():
     r = analytic("x1 * x1 + x2 * x2 < 1", 2)
     assert isinstance(r, AnalyticRegion)

@@ -385,6 +385,23 @@ def _record_bisections(monkeypatch) -> list:
     return seen
 
 
+def test_lockstep_bisection_labels_only_the_levels_a_segment_walks(monkeypatch):
+    # a segment between M and N takes 47 steps: eleven calls of four levels
+    # (15 points per segment) and a last call of three (7 points), so eight
+    # segments label 8 * (11 * 15 + 7) = 1 376 points, not 8 * 12 * 15
+    C = load_builtin("fig3.json")
+    segments = _segments(C, np.random.default_rng(0), "M", "N", 8)
+    sizes = []
+
+    def counting_labels_of(C, X):
+        sizes.append(len(X))
+        return labels_of(C, X)
+
+    monkeypatch.setattr(structure, "labels_of", counting_labels_of)
+    _assert_lockstep_matches_scalar(C, segments, "M", "N")
+    assert sizes == [8 * 15] * 11 + [8 * 7]
+
+
 def test_lockstep_bisection_matches_scalar_reference(monkeypatch):
     rng = np.random.default_rng(5)
     for i in range(24):

@@ -19,7 +19,15 @@ commit (from its own src/) compares key by key. It covers:
   {x2 > 0} u {x2 <= 0, x1 > 5}, whose components touch);
 - `coverage_at` at near-facet and far points of the halfspace pair
   {x2 > 0}, {x2 <= 0}, at (0, 3) of that union at budgets 0 and 2 000,
-  and the exact check of a ball that reaches -1e160 from (0, 1e160).
+  and the exact check of a ball that reaches -1e160 from (0, 1e160);
+- the exact checkers against U = {x2 > 0}: `ball_in_region` and
+  `certify_anchor` on balls of radius r in {1, 1e3, 5e7, 1e9} inside U,
+  tangent to it, grazing out of it by 0.9e-9 r and reaching r/2 out of it;
+  `halfspace_in_region` of {p2 > x2} from x1 in {0, 1e9} and x2 in {1e-3,
+  0, -1e-10, -0.5}; `closure_contains` at 20 seeded members of closed rows
+  through far points; and `coverage_at` at budgets 0 and 2 000 on a far
+  point of a closed facet of an isolated union component. A refutation is
+  recorded by whether its witness lies in the tested set and outside U.
 
 A query that raises records the exception's type and message, and a
 float warning is recorded with the output it came with.
@@ -42,6 +50,12 @@ SPECS = ("fig1.json", "fig3.json", "generalized_linear.json", "linear.json",
 POINTS_PER_CLASSIFIER = 40
 NEAR_AND_FAR = ((0.0, 1e22), (0.0, 1e150), (0.0, 1e160), (1e6, 1e-6), (1e6, 1e-7),
                 (1e6, 1e-8), (1e3, 1e-9), (1e3, 1e-11))
+CHECKED_RADII = (1.0, 1e3, 5e7, 1e9)
+# ball centers (0, height(r)) against U = {x2 > 0}
+BALL_PLACES = (("inside", lambda r: 2.0 * r), ("tangent", lambda r: r),
+               ("grazing", lambda r: r - 0.9e-9 * r), ("outside", lambda r: 0.5 * r))
+HALFSPACE_BASES = tuple((x1, x2) for x1 in (0.0, 1e9) for x2 in (1e-3, 0.0, -1e-10, -0.5))
+CLOSURE_MEMBERS = 20
 
 
 def _outcome(call):
@@ -159,6 +173,67 @@ def records():
                _outcome(lambda: _result(coverage_at(corner, [0.0, 3.0], budget=budget))))
     far = Ball([0.0, 1e160], 2e160)
     yield "near_far/far_ball", _outcome(lambda: ball_in_region(far, pair.labels["U"]).kind)
+    yield from _checker_records(pair)
+
+
+def _checked(cert, inside, region) -> dict:
+    """A certificate's kind and, for a refutation, whether its witness lies
+    in the tested set (`inside`) and outside `region`; where in that set it
+    lies is no output of the check."""
+    out = {"kind": cert.kind}
+    if cert.kind == "refuted":
+        w = cert.witness
+        out["witness_valid"] = bool(inside(w) and not region.contains(w))
+    return out
+
+
+def _checker_records(pair):
+    """The exact checkers against U = {x2 > 0} of the halfspace pair."""
+    import numpy as np
+    from coverage_lab.engine import Anchor, certify_anchor, coverage_at
+    from coverage_lab.geometry import (PROVEN, Ball, Halfspace, HPolytope,
+                                       ball_in_region, halfspace_in_region)
+    from coverage_lab.model import Classifier, UnionOfPolytopes
+
+    U = pair.labels["U"]
+    for r in CHECKED_RADII:
+        for place, height in BALL_PLACES:
+            B = Ball([0.0, height(r)], r)
+            yield (f"checkers/ball_in_region/{place}/r{r!r}",
+                   _outcome(lambda: _checked(ball_in_region(B, U), B.contains, U)))
+            A = Anchor(B, B.center, "U", PROVEN)
+            yield (f"checkers/certify_anchor/{place}/r{r!r}",
+                   _outcome(lambda: _checked(certify_anchor(pair, A), B.contains, U)))
+    d = np.array([0.0, 1.0])
+    for x1, x2 in HALFSPACE_BASES:
+        x = np.array([x1, x2])
+        yield (f"checkers/halfspace_in_region/{x1!r},{x2!r}",
+               _outcome(lambda: _checked(halfspace_in_region(x, d, U),
+                                         lambda p: float(d @ (p - x)) > 0.0, U)))
+
+    # closed rows through points 1e6 to 1e8 from the origin, b = a.x summed
+    # as membership sums it
+    rng = np.random.default_rng(0)
+    for i in range(CLOSURE_MEMBERS):
+        a = rng.standard_normal(2)
+        x = rng.standard_normal(2) * 10 ** rng.uniform(6.0, 8.0)
+        P = HPolytope((Halfspace(a, float(a[0] * x[0] + a[1] * x[1])),))
+        yield (f"checkers/closure_contains/{i:02d}",
+               _outcome(lambda: {"member": P.contains(x), "closure": P.closure_contains(x)}))
+
+    # U' = {a.p <= b} u {a.p >= b + 1000}, isolated, against the slab
+    # between them; x lies on the first component's closed facet
+    a = [-5.886684071327974, -1.9363001412680765]
+    x = [-252207.61254591608, 1184213.7322787463]
+    b = a[0] * x[0] + a[1] * x[1]
+    minus_a = [-v for v in a]
+    C = Classifier(2, {
+        "U": UnionOfPolytopes((HPolytope((Halfspace(a, b),)),
+                               HPolytope((Halfspace(minus_a, -b - 1000.0),)))),
+        "V": HPolytope((Halfspace(a, b + 1000.0, False), Halfspace(minus_a, -b, False)))})
+    for budget in (0, 2_000):
+        yield (f"checkers/far_isolated_union/budget{budget}",
+               _outcome(lambda: _result(coverage_at(C, x, budget=budget))))
 
 
 def _generalized(C, seed: int) -> dict:
