@@ -7,7 +7,10 @@ empty body by its Farkas vector, a body too far from x by the Newton step
 on dist(x, body) - r from its projection's multipliers. The next probe goes
 just under that bound; where a probe gives no bound, the search bisects. A
 probe that proves nothing (no checked certificate, or a distance within
-rounding of r) makes the answer a lower bound.
+rounding of r) makes the answer a lower bound. A polytope's cached
+inradius bracket (`HPolytope.inradius_bracket`), which the caller passes,
+bounds r from above before any probe, and its proven inscribed ball,
+where it holds x, from below.
 
 Union labels: the exact route on each component whose closure holds x
 gives the floor. A ball is connected, so where x's component is isolated
@@ -172,7 +175,7 @@ def _exceeds_cap(x, c, R, top, cap, anchor, method, detail=_NO_DETAIL) -> Covera
 
 
 def coverage_exact_convex(x, region, cap: float, tol: float,
-                          label: str = "label") -> CoverageResult:
+                          label: str = "label", bracket=None) -> CoverageResult:
     """Supremum anchor radius at x for a convex region, within tol.
 
     Zero when x lies on a facet, up to the rounding margin mu (_margin).
@@ -190,6 +193,13 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
     answer is then a lower bound: radius lo, the largest radius whose ball
     is proven, which is also the witness. Raises ExactUnsupported for a
     region that is not convex.
+
+    bracket, the region's own `HPolytope.inradius_bracket` (lo, hi,
+    center), starts the search from what it proves: lo from B(center, lo)
+    where that ball holds x, and the upper end from hi, which replaces the
+    cap probe where it is below it, with the first probe 0.4 tol under hi.
+    Without one the search starts from x's facet distance and the cap
+    probe.
     """
     x = as_point(x)
     _check_limits(cap, tol)
@@ -206,13 +216,20 @@ def coverage_exact_convex(x, region, cap: float, tol: float,
         return CoverageResult("zero", "exact")
 
     def anchor(c, r):
-        return Anchor(Ball(c, r), x, label, ball_in_region(Ball(c, r), P, "exact"))
+        B = Ball(c, r)
+        return Anchor(B, x, label, ball_in_region(B, P, "exact"))
 
     lo, center = float(np.min(slack)), x  # B(x, lo) lies in P
-    cap_probe = cap * (1 + 1e-9) + 4 * tol
-    z, hi, _ = (x, cap_probe, False) if lo >= cap_probe else _feasible_center(x, P, cap_probe)
-    if z is not None:
-        return _exceeds_cap(x, z, cap_probe, cap * (1 + 1e-9) + 2 * tol, cap, anchor, "exact")
+    ball_lo, hi, ball_center = (0.0, math.inf, None) if bracket is None else bracket
+    if ball_lo > lo and Ball(ball_center, ball_lo).contains(x):
+        lo, center = ball_lo, ball_center
+    cap_probe, top = cap * (1 + 1e-9) + 4 * tol, cap * (1 + 1e-9) + 2 * tol
+    if lo >= cap_probe:
+        return _exceeds_cap(x, center, lo, top, cap, anchor, "exact")
+    if hi >= cap_probe:
+        z, hi, _ = _feasible_center(x, P, cap_probe)
+        if z is not None:
+            return _exceeds_cap(x, z, cap_probe, top, cap, anchor, "exact")
 
     proven = hi is not None  # every lowering of hi so far was proven
     hi = max(lo, cap_probe if hi is None else hi)
@@ -506,14 +523,16 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
     region = C.labels[name]
 
     if isinstance(region, (Halfspace, HPolytope)):
-        return coverage_exact_convex(x, region, cap, tol, label=name)
+        bracket = region.inradius_bracket if isinstance(region, HPolytope) else None
+        return coverage_exact_convex(x, region, cap, tol, label=name, bracket=bracket)
 
     floor = None
     if isinstance(region, UnionOfPolytopes):
         floor, isolated = CoverageResult("zero", "exact"), False
         for comp, alone in zip(region.polytopes, region.isolated):
             if comp.closure_contains(x):  # the exact route's own test
-                res = coverage_exact_convex(x, comp, cap, tol, label=name)
+                res = coverage_exact_convex(x, comp, cap, tol, label=name,
+                                        bracket=comp.inradius_bracket)
                 floor = max(floor, res, key=CoverageResult.order_key)
                 isolated = isolated or (alone and comp.contains(x))
         # a connected ball cannot leave an isolated component, and a ball

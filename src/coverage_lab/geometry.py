@@ -15,6 +15,7 @@ are in raw feature units.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -239,6 +240,38 @@ class HPolytope:
         x = as_point(x)
         return bool((self.b - self.A @ x >= -_margin(x, np.abs(self.b))).all())
 
+    @functools.cached_property
+    def inradius_bracket(self) -> tuple:
+        """(lo, hi, center): the inscribed (Chebyshev) radius of P lies in
+        [lo, hi], and B(center, lo) lies in P, proven by ball_in_region
+        before it is returned; center is None where lo = 0. Computed at the
+        first read, with the exact route's own steps: the Farkas vector w of
+        A u <= -1 proves hi = b.w / sum(w), since P shrunk by any r > hi is
+        empty; then P shrunk by just under hi is probed, and each empty probe
+        lowers hi to its own Farkas bound, until a probe holds a center (at
+        most one probe per row). A one-row body (no solve), a cone (A u <=
+        -1 solvable: P holds balls of every radius) and a solve that proves
+        nothing give (0, inf, None), or what was proven so far."""
+        A, b = self.A, self.b
+        if len(b) < 2:
+            return 0.0, math.inf, None
+        u, w = least_distance(A, np.full(len(b), -1.0))
+        hi = r = math.inf
+        for _ in range(len(b)):
+            if u is not None or w is None:
+                break
+            # P shrunk by r, the last probe, is empty, and so is P shrunk past w's bound
+            hi = min(r, float(b @ w) / float(w.sum()))
+            r = (1.0 - 1e-9) * hi
+            if not r > 0.0:
+                break
+            u, w = least_distance(A, b - r)
+            if u is not None:  # in P shrunk by r, to least_distance's slack
+                lo = min(r, float(np.min(b - A @ u)))
+                if lo > 0.0 and ball_in_region(Ball(u, lo), self, "exact").kind == "proven":
+                    return lo, hi, u
+        return 0.0, max(hi, 0.0), None
+
 
 def as_polytope(region) -> HPolytope:
     """A convex label as an HPolytope: a Halfspace becomes one row, an
@@ -421,7 +454,8 @@ def sampled_inside(region, batches) -> tuple:
         except EvalError:
             return False, None
         if not inside.all():
-            return False, pts[int(np.flatnonzero(~inside)[0])]
+            # a copy, so that a witness does not keep its whole batch alive
+            return False, pts[int(np.flatnonzero(~inside)[0])].copy()
     return True, None
 
 

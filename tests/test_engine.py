@@ -1,6 +1,7 @@
 """Unit tests for the coverage engine: exact convex route, sampled route,
 result ordering, and anchor certification."""
 
+import functools
 import re
 import time
 
@@ -25,6 +26,12 @@ from coverage_lab.verify import random_polytope_case
 # search with exact line/curve distance evaluation (see tests/conftest
 # history): the best anchor radius for label E of fig1.json at (9, 60).
 FIG1_E_AT_9_60 = 662.97
+
+# least-distance solves of coverage_exact_convex without a bracket, counted
+# at the commit before the bracket: fig3's M points of the 20x20 grid, and
+# 100 random_polytope_case cases in 2-D and 3-D from seed 0
+FIG3_M_SOLVES = 536
+CASE_SOLVES = 401
 
 
 def unit_box() -> HPolytope:
@@ -379,6 +386,71 @@ def test_fig3_component_queries_take_few_solves(monkeypatch):
     assert max(per_query) <= 8 and np.mean(per_query) <= 4
 
 
+def test_points_in_the_cached_ball_take_no_solve(monkeypatch):
+    # the bracket of fig3's M boxes is tight to 1e-9, relative, so a point
+    # of its inscribed ball needs no solve; elsewhere the probe under the
+    # bracket's hi replaces the cap probe, whose body was always empty
+    C = load_builtin("fig3.json")
+    cap, tol = engine.default_cap(C), engine.default_tol(C)
+    boxes = C.labels["M"].polytopes
+    brackets = [P.inradius_bracket for P in boxes]
+    calls, inside, solves = _ldp_calls(monkeypatch), 0, []
+    for x in grid_points(C.domain_box, (20, 20)):
+        for P, (lo, hi, center) in zip(boxes, brackets):
+            if not P.contains(x):
+                continue
+            before = len(calls)
+            res = coverage_exact_convex(x, P, cap, tol, bracket=(lo, hi, center))
+            solves.append(len(calls) - before)
+            assert res.method == "exact"
+            if res.kind == "zero":  # on the box's closed facet
+                continue
+            assert res.witness.certificate.kind == "proven"
+            if Ball(center, lo).contains(x):
+                inside += 1
+                assert solves[-1] == 0 and res.witness.ball.radius == lo
+    # 77 points lie in a cached ball; 104 take no solve, against 0 without
+    # the bracket, and 2.38 solves each became 0.81
+    assert len(solves) == 225 and inside >= 70
+    assert solves.count(0) >= 100 and np.mean(solves) <= 1.0
+
+
+def test_without_a_bracket_the_search_keeps_its_solves(monkeypatch):
+    # the least-distance solves of the search without a bracket, counted
+    # before the bracket existed: fig3's M points and 100 verify-style cases
+    C = load_builtin("fig3.json")
+    cap, tol = engine.default_cap(C), engine.default_tol(C)
+    calls = _ldp_calls(monkeypatch)
+    for x in grid_points(C.domain_box, (20, 20)):
+        for P in C.labels["M"].polytopes:
+            if P.contains(x):
+                coverage_exact_convex(x, P, cap, tol)
+    assert len(calls) == FIG3_M_SOLVES
+    calls.clear()
+    rng = np.random.default_rng(0)
+    for i in range(100):
+        P, x0, B = random_polytope_case(rng, 2 + i % 2)
+        coverage_exact_convex(x0, P, cap=100.0 * B, tol=1e-6 * B)
+    assert len(calls) == CASE_SOLVES
+
+
+def test_a_cached_ball_past_the_cap_nests_the_witnesses_in_it(monkeypatch):
+    # x's own facet distance (20) is under the cap, but the inscribed ball
+    # B((50, 50), 50) holds x and passes it: ExceedsCap with no solve, and
+    # every witness nested in that ball
+    P = _box([0.0, 0.0], [100.0, 100.0])
+    lo, hi, center = P.inradius_bracket
+    calls = _ldp_calls(monkeypatch)
+    res = coverage_exact_convex([20.0, 20.0], P, cap=30.0, tol=1e-3, bracket=(lo, hi, center))
+    assert res.kind == "exceeds_cap" and res.method == "exact" and not calls
+    for a in res.witnesses:
+        assert a.certificate.kind == "proven" and a.ball.contains([20.0, 20.0])
+        gap = np.linalg.norm(a.ball.center - center) + a.ball.radius
+        assert gap <= lo * (1 + 1e-12)
+    plain = coverage_exact_convex([20.0, 20.0], P, cap=30.0, tol=1e-3)
+    assert plain.kind == "exceeds_cap" and len(calls) == 1
+
+
 def test_newton_bounds_are_sound(monkeypatch):
     # every radius between a Newton bound and the probe that gave it is
     # infeasible, so the bound never cuts off the answer
@@ -669,7 +741,7 @@ def test_isolated_components_answer_as_their_box(budget):
         if box is None:
             continue
         in_m += 1
-        ref = coverage_exact_convex(x, box, cap, tol, label="M")
+        ref = coverage_exact_convex(x, box, cap, tol, label="M", bracket=box.inradius_bracket)
         assert (res.kind, res.method, res.radius, res.cap) == (ref.kind, "exact",
                                                                ref.radius, ref.cap)
         assert dict(res.detail) == {}
@@ -751,11 +823,31 @@ def test_a_far_member_on_an_isolated_component_s_facet_is_exact_zero(budget):
     assert dict(res.detail) == {}
 
 
+def _bracket_solves(monkeypatch, calls: list) -> list:
+    """The solves of each inradius bracket computed from here on, one entry
+    per bracket."""
+    solves, bracket = [], HPolytope.inradius_bracket.func
+
+    def counted(P):
+        before = len(calls)
+        out = bracket(P)
+        solves.append(len(calls) - before)
+        return out
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(HPolytope, "inradius_bracket")
+    monkeypatch.setattr(HPolytope, "inradius_bracket", prop)
+    return solves
+
+
 def test_isolation_is_read_once_per_union(monkeypatch):
     # fig3 has one pair of M components and six pairs of N components; the
-    # pair checks run at each union's first query, not at every query
+    # pair checks run at each union's first query, not at every query; each
+    # component's bracket is solved apart from them, once, at the first
+    # query its closure holds (no grid point lies in N's central box)
     C = load_builtin("fig3.json")
     calls, in_exact = _ldp_calls(monkeypatch), []
+    in_bracket = _bracket_solves(monkeypatch, calls)
     exact = engine.coverage_exact_convex
 
     def counted(*args, **kwargs):
@@ -768,7 +860,8 @@ def test_isolation_is_read_once_per_union(monkeypatch):
     points = grid_points(C.domain_box, (20, 20))
     for _ in range(2):
         compute_field(C, points, budget=0)
-    assert len(calls) - sum(in_exact) == 7
+    assert len(calls) - sum(in_exact) - sum(in_bracket) == 7
+    assert len(in_bracket) == 5 and set(in_bracket) <= {2, 3}
 
 
 # --- anchor certification ---------------------------------------------------

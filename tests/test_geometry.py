@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coverage_lab import geometry
 from coverage_lab.errors import DimensionMismatch, EmptyPolytope, ExactUnsupported
 from coverage_lab.geometry import (Ball, Halfspace, HPolytope, Hyperplane,
                                    as_polytope, ball_in_region,
@@ -65,6 +66,15 @@ def test_a_sample_that_is_not_finite_refutes_without_a_witness():
     # only a cap near the float maximum draws such samples
     region = analytic("x2 > 0", 2)
     assert sampled_inside(region, [np.array([[0.0, 1.0], [0.0, np.inf]])]) == (False, None)
+
+
+def test_a_sampled_witness_is_a_copy_of_its_batch_point():
+    # a view would keep its whole sample batch alive as long as the witness
+    pts = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0]])
+    ok, witness = sampled_inside(analytic("x2 > 0", 2), [pts])
+    assert not ok and witness.base is None and np.array_equal(witness, [0.0, -1.0])
+    cert = ball_in_region(Ball([0.0, 0.5], 1.0), analytic("x2 > 0", 2), ("sampled", 200, 0))
+    assert cert.kind == "refuted" and cert.witness.base is None
 
 
 def test_ball_dimension_mismatch():
@@ -623,3 +633,110 @@ def test_import_and_query_do_not_load_scipy():
                          text=True, check=True).stdout.split("\n")
     assert out[0].startswith("Bounded(radius=1)")
     assert out[1] == "False"
+
+
+# --- inradius bracket -------------------------------------------------------
+
+def _ldp_calls(monkeypatch) -> list:
+    calls = []
+    solve = geometry.least_distance
+    monkeypatch.setattr(geometry, "least_distance",
+                        lambda A, h: calls.append(1) or solve(A, h))
+    return calls
+
+
+def _box(lows, highs, closed=True) -> HPolytope:
+    hs = []
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        e = np.zeros(len(lows))
+        e[i] = 1.0
+        hs += [Halfspace(e, hi, closed), Halfspace(-e, -lo, closed)]
+    return HPolytope(tuple(hs))
+
+
+def _check_bracket(P: HPolytope, radius: float):
+    """lo and hi within 1e-9, relative, of the inradius, up to the rounding
+    of the offsets, with a proven ball."""
+    lo, hi, center = P.inradius_bracket
+    rounding = 1e-14 * (1.0 + float(np.abs(P.b).max()))
+    assert radius * (1 - 2e-9) - rounding <= lo < hi
+    assert radius - rounding <= hi <= radius + rounding
+    assert ball_in_region(Ball(center, lo), P, "exact").kind == "proven"
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([0.0, 0.0], [1.0, 1.0]), ([-13.0, -20.0], [20.0, -10.0]),
+    ([5.0, -1e3, 2.0], [7.5, 1e3, 9.0]), ([1e6, 1e6], [1e6 + 3.0, 1e6 + 8.0]),
+])
+def test_a_box_has_half_its_shortest_side(lows, highs, monkeypatch):
+    P = _box(lows, highs, closed=False)
+    calls = _ldp_calls(monkeypatch)
+    _check_bracket(P, 0.5 * min(h - l for l, h in zip(lows, highs)))
+    solves = len(calls)
+    assert solves <= 3
+    P.inradius_bracket
+    assert len(calls) == solves  # computed once, then cached
+
+
+@pytest.mark.parametrize("n, m", [(2, 5), (2, 14), (3, 10), (4, 9), (5, 9)])
+def test_a_simplex_cut_by_far_halfspaces_has_its_inradius(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    R = float(rng.uniform(2.0, 8.0))
+    _check_bracket(_simplex_with_cuts(rng, n, m, inradius=R), R)
+
+
+def test_a_slab_has_a_finite_radius():
+    P = HPolytope((Halfspace([0.0, 2.0], 6.0, False), Halfspace([0.0, -1.0], 1.0)))
+    _check_bracket(P, 2.0)
+
+
+@pytest.mark.parametrize("P", [
+    HPolytope((Halfspace([1.0, 2.0], 3.0),)),
+    HPolytope((Halfspace([1.0, -1.0], 0.0), Halfspace([-1.0, -1.0], 0.0))),
+    HPolytope((Halfspace([1.0, 0.0, 0.0], 1.0), Halfspace([0.0, 1.0, 0.0], 1.0),
+               Halfspace([0.0, 0.0, 1.0], 1.0))),
+], ids=["halfspace", "wedge", "cone"])
+def test_a_body_that_holds_every_ball_has_no_bracket(P, monkeypatch):
+    calls = _ldp_calls(monkeypatch)
+    assert P.inradius_bracket == (0.0, np.inf, None)
+    assert len(calls) == (0 if len(P.b) == 1 else 1)
+
+
+def _fig3_box() -> HPolytope:
+    # M's first box, [-7, 12] x [1, 20] as the spec writes it: its bracket
+    # takes a Farkas solve and two probes
+    from coverage_lab.data import load_builtin
+    return load_builtin("fig3.json").labels["M"].polytopes[0]
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 2, "ball"])
+def test_a_step_that_proves_nothing_leaves_only_proven_ends(fail_at, monkeypatch):
+    # whichever solve answers (None, None), or if the ball check refutes,
+    # the ends left are the ones proven before it, and no center is claimed
+    # without its ball
+    clean, P = _fig3_box().inradius_bracket, _fig3_box()
+    calls, solve = [], geometry.least_distance
+
+    def failing(A, h):
+        calls.append(1)
+        return (None, None) if len(calls) == fail_at + 1 else solve(A, h)
+
+    if fail_at == "ball":
+        monkeypatch.setattr(geometry, "ball_in_region",
+                            lambda B, region, method: geometry.Certificate("refuted"))
+    else:
+        monkeypatch.setattr(geometry, "least_distance", failing)
+    lo, hi, center = P.inradius_bracket
+    assert (lo, center) == (0.0, None) and hi >= clean[1]
+    if fail_at == 0:
+        assert hi == np.inf
+    elif fail_at == 1:  # the first Farkas bound, a weighted mean of both half-sides
+        assert 9.5 < hi < 13.5 + 1e-12
+    else:
+        assert hi == clean[1]
+    assert len(calls) == (0 if fail_at == "ball" else fail_at + 1)
+
+
+def test_an_empty_body_has_no_ball():
+    P = HPolytope((Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 0.0], -1.0)))
+    assert P.inradius_bracket == (0.0, 0.0, None)

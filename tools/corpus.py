@@ -27,7 +27,10 @@ commit (from its own src/) compares key by key. It covers:
   0, -1e-10, -0.5}; `closure_contains` at 20 seeded members of closed rows
   through far points; and `coverage_at` at budgets 0 and 2 000 on a far
   point of a closed facet of an isolated union component. A refutation is
-  recorded by whether its witness lies in the tested set and outside U.
+  recorded by whether its witness lies in the tested set and outside U;
+- the inradius bracket of each polytope label and union component of the
+  shipped specs, and `coverage_at` at budgets 0 and 20 000 at a point
+  inside and a point outside each bracket's ball, in the same component.
 
 A query that raises records the exception's type and message, and a
 float warning is recorded with the output it came with.
@@ -174,6 +177,7 @@ def records():
     far = Ball([0.0, 1e160], 2e160)
     yield "near_far/far_ball", _outcome(lambda: ball_in_region(far, pair.labels["U"]).kind)
     yield from _checker_records(pair)
+    yield from _bracket_records()
 
 
 def _checked(cert, inside, region) -> dict:
@@ -234,6 +238,46 @@ def _checker_records(pair):
     for budget in (0, 2_000):
         yield (f"checkers/far_isolated_union/budget{budget}",
                _outcome(lambda: _result(coverage_at(C, x, budget=budget))))
+
+
+def _bracket_records():
+    """Each shipped polytope's inradius bracket, and coverage_at at a point
+    of its ball (halfway out along the first axis) and at the first point
+    past it, at 1.01 lo along an axis or a diagonal, that its polytope and
+    label hold."""
+    import itertools
+
+    import numpy as np
+    from coverage_lab.data import load_builtin
+    from coverage_lab.engine import coverage_at
+    from coverage_lab.geometry import HPolytope
+    from coverage_lab.model import UnionOfPolytopes, label_of
+
+    for spec in SPECS:
+        C = load_builtin(spec)
+        for name, region in C.labels.items():
+            parts = ({"": region} if isinstance(region, HPolytope) else
+                     {f"/{i}": P for i, P in enumerate(region.polytopes)}
+                     if isinstance(region, UnionOfPolytopes) else {})
+            for part, P in parts.items():
+                key = f"bracket/{spec}/{name}{part}"
+                lo, hi, center = P.inradius_bracket
+                yield key, [lo, hi, center]
+                if center is None:
+                    continue
+                n = C.dimension
+                steps = [e * s for e in np.eye(n) for s in (1.0, -1.0)]
+                steps += [np.array(s) / np.sqrt(n)
+                          for s in itertools.product((1.0, -1.0), repeat=n)]
+                past = (center + 1.01 * lo * d for d in steps)
+                points = {"inside": center + 0.5 * lo * np.eye(n)[0],
+                          "outside": next((p for p in past if P.contains(p)
+                                           and label_of(C, p) == name), None)}
+                for place, x in points.items():
+                    for budget in (0, 20_000):
+                        yield (f"{key}/{place}/budget{budget}", None if x is None else
+                               {"point": x.tolist(), "result": _outcome(
+                                   lambda: _result(coverage_at(C, x, budget=budget)))})
 
 
 def _generalized(C, seed: int) -> dict:
