@@ -1,16 +1,18 @@
-"""Coverage of a classifier at a point.
+"""Coverage of a classifier at a point, by the label's exact form
+(`geometry.exact_form`): one polytope, a union, or none.
 
-Exact route (convex labels): a search on the anchor radius r, where r is
-feasible iff some center c with ||x - c|| < r lies in the inner parallel
-body of the label shrunk by r. An infeasible probe bounds r from above: an
-empty body by its Farkas vector, a body too far from x by the Newton step
-on dist(x, body) - r from its projection's multipliers. The next probe goes
-just under that bound; where a probe gives no bound, the search bisects. A
-probe that proves nothing (no checked certificate, or a distance within
-rounding of r) makes the answer a lower bound. A polytope's cached
-inradius bracket (`HPolytope.inradius_bracket`), which the caller passes,
-bounds r from above before any probe, and its proven inscribed ball,
-where it holds x, from below.
+Exact route (convex labels, whose form is one polytope): a search on the
+anchor radius r, where r is feasible iff some center c with ||x - c|| < r
+lies in the inner parallel body of the label shrunk by r. An infeasible
+probe bounds r from above: an empty body by its Farkas vector, a body too
+far from x by the Newton step on dist(x, body) - r from its projection's
+multipliers. The next probe goes just under that bound; where a probe
+gives no bound, the search bisects. A probe that proves nothing (no
+checked certificate, or a distance within rounding of r) makes the answer
+a lower bound. The polytope's cached inradius bracket
+(`HPolytope.inradius_bracket`), which the caller passes, bounds r from
+above before any probe, and its proven inscribed ball, where it holds x,
+from below.
 
 Union labels: the exact route on each component whose closure holds x
 gives the floor. A ball is connected, so where x's component is isolated
@@ -18,10 +20,10 @@ gives the floor. A ball is connected, so where x's component is isolated
 other component's closure) the floor is the answer. Elsewhere it stands
 unless the sampled route beats it with a ball that straddles components.
 
-Sampled route (analytic labels, union points whose component touches
-another): multi-start center search with per-candidate certification by
-uniform interior and near-surface samples; results are lower bounds, never
-claims of exactness.
+Sampled route (analytic labels, which have no form, and union points
+whose component touches another): multi-start center search with
+per-candidate certification by uniform interior and near-surface samples;
+results are lower bounds, never claims of exactness.
 
 Any ball certified to hold x in the label, with a radius at or above the
 cap, answers ExceedsCap: witnesses of radii cap/4, cap/2 and one at or
@@ -42,11 +44,10 @@ import numpy as np
 
 from .errors import (EmptyPolytope, EmptyRegion, NoLabel, PointNotInAnyLabel,
                      PointNotInRegion, RefinementPoint)
-from .geometry import (Ball, Certificate, Halfspace, HPolytope, _margin, as_point,
-                       as_polytope, ball_in_region, project_onto_polytope,
+from .geometry import (Ball, Certificate, HPolytope, _margin, as_point, as_polytope,
+                       ball_in_region, convex_form, exact_form, project_onto_polytope,
                        sample_in_ball, sampled_inside, shrink_polytope)
-from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
-                    label_of)
+from .model import REFINEMENT, Classifier, label_of
 
 CAP_DIAMETERS = 1e6   # default cap, in units of the domain-box diameter
 TOL_DIAMETERS = 1e-6  # default tolerance, likewise
@@ -512,24 +513,23 @@ def coverage_sampled(C: Classifier, x, cap: float | None = None,
 def coverage_at(C: Classifier, x, cap: float | None = None,
                 budget: int = 100_000, seed: int = 0,
                 tol: float | None = None) -> CoverageResult:
-    """Coverage of C at x, at any budget. Exact for convex labels. A union
-    label's floor, the best exact coverage of the components whose closure
-    holds x, is exact where x's component is isolated (its closure meets no
-    other's, `UnionOfPolytopes.isolated`) or the floor exceeds the cap;
-    elsewhere, as for analytic labels, the sampled search gives a lower
-    bound, which the floor bounds from below."""
+    """Coverage of C at x, at any budget, by the exact form of x's label.
+    A polytope (a convex label) takes the exact route with its cached
+    bracket. A union's floor, the best exact coverage of the components
+    whose closure holds x, is exact where x's component is isolated (its
+    closure meets no other's, `UnionOfPolytopes.isolated`) or the floor
+    exceeds the cap; elsewhere, as for a label with no form, the sampled
+    search gives a lower bound, which the floor bounds from below."""
     cap, tol = resolve_limits(C, cap, tol, budget)
     x, name = _resolve_query(C, x)
     region = C.labels[name]
-
-    if isinstance(region, (Halfspace, HPolytope)):
-        bracket = region.inradius_bracket if isinstance(region, HPolytope) else None
-        return coverage_exact_convex(x, region, cap, tol, label=name, bracket=bracket)
+    if (P := convex_form(region)) is not None:
+        return coverage_exact_convex(x, P, cap, tol, label=name, bracket=P.inradius_bracket)
 
     floor = None
-    if isinstance(region, UnionOfPolytopes):
+    if (union := exact_form(region)) is not None:
         floor, isolated = CoverageResult("zero", "exact"), False
-        for comp, alone in zip(region.polytopes, region.isolated):
+        for comp, alone in zip(union.polytopes, union.isolated):
             if comp.closure_contains(x):  # the exact route's own test
                 res = coverage_exact_convex(x, comp, cap, tol, label=name,
                                         bracket=comp.inradius_bracket)
@@ -541,8 +541,6 @@ def coverage_at(C: Classifier, x, cap: float | None = None,
             return floor
         if budget <= 0:
             return dataclasses.replace(floor, method="lower_bound")
-    elif not isinstance(region, AnalyticRegion):
-        raise TypeError(f"unsupported region type {type(region).__name__}")
     return _sampled_result(C, x, name, cap, budget, seed, tol, floor)
 
 
@@ -554,5 +552,5 @@ def certify_anchor(C: Classifier, A: Anchor, m: int = 10_000,
     if A.label not in C.labels:
         raise KeyError(f"unknown label {A.label!r}")
     region = C.labels[A.label]
-    exact = isinstance(region, (Halfspace, HPolytope))
+    exact = convex_form(region) is not None
     return ball_in_region(A.ball, region, "exact" if exact else ("sampled", m, seed))

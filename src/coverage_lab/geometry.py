@@ -62,16 +62,18 @@ def _dot_rows(R: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _margin(x: np.ndarray, r):
-    """mu = 1e-14 (1 + r + ||x||), the rounding that every exact row test
-    forgives at x against a radius or offset r (one per row for an array of
-    offsets); math.hypot takes ||x|| without overflow. For n <= 42 and eps =
-    2**-52 it bounds the rounding of a slack b - a.x on a unit row, (n + 1)
-    eps (|b| + ||x||) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 3.1), and of a distance d from x or ||x - c||
-    for c = x + u: forming c and x - c rounds each coordinate by at most
-    eps/2 (|x_i| + |u_i|) twice, and a norm of n terms reads within (n + 2)
-    eps / 2, relative: a reading near r is off by < (n + 3) eps (||x|| + r) <= mu."""
-    return 1e-14 * (1.0 + r + math.hypot(*x.tolist()))
+    """mu = k (1 + r + ||x||), k = max(1e-14, (n + 3) eps) for eps = 2**-52
+    and n = len(x): the rounding that every exact row test forgives at x
+    against a radius or offset r (one per row for an array of offsets);
+    math.hypot takes ||x|| without overflow. It bounds the rounding of a
+    slack b - a.x on a unit row, (n + 1) eps (|b| + ||x||) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), and
+    of a distance d from x or ||x - c|| for c = x + u: forming c and x - c
+    rounds each coordinate by at most eps/2 (|x_i| + |u_i|) twice, and a
+    norm of n terms reads within (n + 2) eps / 2, relative: a reading near
+    r is off by < (n + 3) eps (||x|| + r) <= mu. k is 1e-14 for n <= 42,
+    since 45 eps < 1e-14, and (n + 3) eps above."""
+    return max(1e-14, (len(x) + 3) * 2.0**-52) * (1.0 + r + math.hypot(*x.tolist()))
 
 
 def sample_in_ball(center: np.ndarray, radius: float, rng: np.random.Generator,
@@ -153,6 +155,8 @@ class Halfspace:
         v = _dot_rows(self.a[None, :], X)[0]
         return v <= self.b if self.closed else v < self.b
 
+    exact_form = functools.cached_property(lambda self: HPolytope((self,)))  # built once
+
 
 @dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Hyperplane:
@@ -227,6 +231,9 @@ class HPolytope:
     def dimension(self) -> int:
         return self.A.shape[1]
 
+    exact_form = property(lambda self: self)
+    polytopes = property(lambda self: (self,))  # its pieces, as a union's
+
     def contains(self, x) -> bool:
         x = as_point(x)
         _check_dim(x, self.A[0])
@@ -273,16 +280,28 @@ class HPolytope:
         return 0.0, max(hi, 0.0), None
 
 
+def exact_form(region):
+    """A label's `exact_form`: a Halfspace's one-row HPolytope, an HPolytope
+    or UnionOfPolytopes itself, or None for an AnalyticRegion; a form's
+    pieces are its `polytopes`. Any other object raises ExactUnsupported."""
+    try:
+        return region.exact_form
+    except AttributeError:
+        raise ExactUnsupported(f"not a label region: {type(region).__name__}") from None
+
+
+def convex_form(region) -> HPolytope | None:
+    """A label's exact form where that is one polytope, else None."""
+    form = exact_form(region)
+    return form if isinstance(form, HPolytope) else None
+
+
 def as_polytope(region) -> HPolytope:
-    """A convex label as an HPolytope: a Halfspace becomes one row, an
-    HPolytope is returned as is, and any other region raises
-    ExactUnsupported."""
-    if isinstance(region, Halfspace):
-        return HPolytope((region,))
-    if isinstance(region, HPolytope):
-        return region
-    raise ExactUnsupported(f"exact checks need a Halfspace or HPolytope, "
-                           f"got {type(region).__name__}")
+    """convex_form, or ExactUnsupported for a union or an analytic region."""
+    if (P := convex_form(region)) is None:
+        raise ExactUnsupported(f"exact checks need a Halfspace or HPolytope, "
+                               f"got {type(region).__name__}")
+    return P
 
 
 def shrink_polytope(P: HPolytope, r: float) -> HPolytope:

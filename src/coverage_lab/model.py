@@ -70,6 +70,8 @@ class UnionOfPolytopes:
     def dimension(self) -> int:
         return self.polytopes[0].dimension
 
+    exact_form = property(lambda self: self)
+
     @functools.cached_property
     def isolated(self) -> tuple:
         """Per polytope, whether its closure is proven to meet no other
@@ -95,6 +97,7 @@ class UnionOfPolytopes:
 @dataclasses.dataclass(frozen=True, eq=False)
 class AnalyticRegion:
     predicate: dsl.Predicate
+    exact_form = None  # no rows to read: every check of it is sampled
 
     @property
     def dimension(self) -> int:

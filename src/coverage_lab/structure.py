@@ -20,6 +20,7 @@ evidence, not proofs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -27,9 +28,9 @@ import numpy as np
 from . import dsl
 from .engine import CoverageResult, coverage_at, resolve_limits
 from .errors import DegenerateSequence, RefinementPoint, UnsupportedRegion
-from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane,
-                       _anti_parallel, as_point, as_polytope, halfspace_in_region,
-                       sampled_inside)
+from .geometry import (Certificate, Halfspace, HPolytope, Hyperplane, _anti_parallel,
+                       as_point, as_polytope, convex_form, exact_form,
+                       halfspace_in_region, sampled_inside)
 from .model import (REFINEMENT, AnalyticRegion, Classifier, UnionOfPolytopes,
                     label_of, labels_of, sample_box)
 
@@ -84,16 +85,6 @@ class GeneralizedLinearVerdict:
 
 # --- boundary refinement ---------------------------------------------------
 
-def _pieces(region):
-    """The polytopes of a halfspace, polytope or union label, or None for
-    another region."""
-    if isinstance(region, UnionOfPolytopes):
-        return region.polytopes
-    if isinstance(region, (Halfspace, HPolytope)):
-        return (as_polytope(region),)
-    return None
-
-
 def _piece_key(p: HPolytope) -> tuple:
     """Canonical key of a boundary piece: its (unit row, offset, closed)
     triples, rounded and sorted, so that one piece written with its rows in
@@ -137,38 +128,31 @@ def refine_boundary(C: Classifier) -> Classifier:
     already-refined classifier whose refinement set holds the label
     boundaries returns it unchanged, the same object.
     """
-    analytic_labels = [isinstance(r, AnalyticRegion) for r in C.labels.values()]
-    if any(analytic_labels):
-        if not all(analytic_labels):
-            raise UnsupportedRegion("cannot mix analytic and polytope labels in refine")
+    forms = [exact_form(r) for _, r in C.regions()]  # the refinement set's last
+    if any(form is None for form in forms):
+        if not all(form is None for form in forms):
+            raise UnsupportedRegion("cannot mix analytic and polytope regions in refine")
         return _refine_analytic(C)
 
     new_labels = {}
     pieces = []
-    for name, region in C.labels.items():
-        polytopes = _pieces(region)
-        if polytopes is None:
-            raise UnsupportedRegion(f"cannot refine region {type(region).__name__}")
+    for (name, region), form in zip(C.labels.items(), forms):
         opened = tuple(HPolytope(Halfspace(h.a, h.b, False) for h in p.halfspaces)
-                       for p in polytopes)
-        new_labels[name] = (UnionOfPolytopes(opened) if isinstance(region, UnionOfPolytopes)
-                            else Halfspace(region.a, region.b, False)
-                            if isinstance(region, Halfspace) else opened[0])
-        for p in polytopes:
+                       for p in form.polytopes)
+        # each label keeps its kind: a halfspace is its form's one row
+        new_labels[name] = (UnionOfPolytopes(opened) if convex_form(region) is None
+                            else opened[0] if form is region else opened[0].halfspaces[0])
+        for p in form.polytopes:
             pieces.extend(_boundary_pieces(p))
-
-    existing = () if C.refinement_set is None else _pieces(C.refinement_set)
-    if existing is None:
-        raise UnsupportedRegion("existing refinement set must be polytopal")
 
     # dedupe pieces against each other and the existing set, keeping the first
     kept = {}
-    for p in existing:
+    for p in () if C.ordinary else forms[-1].polytopes:
         kept.setdefault(_piece_key(p), p)
     n_existing = len(kept)
     for p in pieces:
         kept.setdefault(_piece_key(p), p)
-    if existing and len(kept) == n_existing:
+    if n_existing and len(kept) == n_existing:
         return C  # refinement set already covers every boundary piece
     all_pieces = tuple(kept.values())
     refinement = all_pieces[0] if len(all_pieces) == 1 else UnionOfPolytopes(all_pieces)
@@ -177,28 +161,35 @@ def refine_boundary(C: Classifier) -> Classifier:
                       probe_points=C.probe_points)
 
 
+def _disjuncts(e) -> list:
+    """The operands of e's top-level 'or' chain, in order; [e] for another
+    node."""
+    if isinstance(e, dsl.BoolOp) and e.op == "or":
+        return _disjuncts(e.left) + _disjuncts(e.right)
+    return [e]
+
+
 def _refine_analytic(C: Classifier) -> Classifier:
+    """refine_boundary on analytic labels: the refinement set is the 'or'
+    of the existing one's disjuncts, if any, and each label's boundary term
+    (its closure and not its strict version), deduped by equality."""
+    disjuncts = [] if C.ordinary else _disjuncts(C.refinement_set.predicate.expr)
+    n_existing = len(disjuncts)
     new_labels = {}
-    boundary_terms = []
     for name, region in C.labels.items():
         expr = region.predicate.expr
         strict = _recompare(expr, {"<=": "<", ">=": ">"})
-        new_labels[name] = AnalyticRegion(
-            dsl.Predicate(strict, C.dimension))
-        boundary_terms.append(dsl.BoolOp(
-            "and", _recompare(expr, {"<": "<=", ">": ">="}), dsl.Not(strict)))
-    combined = boundary_terms[0]
-    for term in boundary_terms[1:]:
-        combined = dsl.BoolOp("or", combined, term)
-    refinement = AnalyticRegion(dsl.Predicate(combined, C.dimension))
-    if (isinstance(C.refinement_set, AnalyticRegion)
-            and C.refinement_set.predicate == refinement.predicate
-            and all(new_labels[name].predicate == region.predicate
-                    for name, region in C.labels.items())):
+        new_labels[name] = AnalyticRegion(dsl.Predicate(strict, C.dimension))
+        term = dsl.BoolOp("and", _recompare(expr, {"<": "<=", ">": ">="}), dsl.Not(strict))
+        if term not in disjuncts:
+            disjuncts.append(term)
+    if len(disjuncts) == n_existing and all(new_labels[name].predicate == region.predicate
+                                            for name, region in C.labels.items()):
         return C  # already refined
+    combined = functools.reduce(lambda a, b: dsl.BoolOp("or", a, b), disjuncts)
     return Classifier(dimension=C.dimension, labels=new_labels,
-                      refinement_set=refinement, domain_box=C.domain_box,
-                      probe_points=C.probe_points)
+                      refinement_set=AnalyticRegion(dsl.Predicate(combined, C.dimension)),
+                      domain_box=C.domain_box, probe_points=C.probe_points)
 
 
 # --- asymptotic direction --------------------------------------------------
@@ -254,7 +245,7 @@ def _halfspace_in(C: Classifier, region, x, d, budget: int, seed: int) -> Certif
     budget >= 1 points, of which those in the halfspace are tested and
     counted in `samples`. A sample whose label cannot be evaluated refutes
     without a witness."""
-    if isinstance(region, (Halfspace, HPolytope)):
+    if convex_form(region) is not None:
         return halfspace_in_region(x, d, region)
     if budget < 1:
         raise ValueError(f"a sampled check needs at least one sample, got {budget}")
@@ -372,7 +363,7 @@ def _fit_boundary(C: Classifier, probes, la, lb, rng):
     ends = _bisect_boundaries(C, [(group_a[k % p], group_b[(k + k // lcm) % q])
                                   for k in range(want)], la, lb)
     for pt, other in ends:  # the first segment that meets a third label decides
-        if other is not None and (isinstance(C.labels[other], AnalyticRegion)
+        if other is not None and (exact_form(C.labels[other]) is None
                                   or not is_negligible_region(C.labels[other])):
             return StructureVerdict("not_refined_linear", witness=pt,
                                     reason=f"third label {other!r} on boundary segment")
@@ -402,7 +393,7 @@ def _halfspace_split(C: Classifier, probes, la, lb, budget: int, seed: int, rng,
     when budget < 1 cannot sample it, the split is "inconclusive". Read
     boundaries agree to rounding, a fitted one to 1e-3. "refined_linear" carries the
     canonical hyperplane, read where it can be, and la, lb in side order."""
-    convex = [isinstance(C.labels[n], (Halfspace, HPolytope)) for n in (la, lb)]
+    convex = [convex_form(C.labels[n]) is not None for n in (la, lb)]
     held = []  # per label the (u, beta) of the open halfspace {u.p < beta} it holds
     for name, read in zip((la, lb), convex):
         if read:
@@ -471,7 +462,7 @@ def classify_structure(C: Classifier, probe_count: int = 30,
                    else _halfspace_split(C, probes, *seen, budget, seed, rng, fitted=fit))
     if verdict.kind == "not_refined_linear":
         # a convex label that holds no open halfspace has bounded coverage
-        unheld = {n for n in seen if isinstance(C.labels[n], (Halfspace, HPolytope))
+        unheld = {n for n in seen if convex_form(C.labels[n]) is not None
                   and _held_halfspace(C.labels[n]) is None}
         p = next((p for p, n in probes if n in unheld), None)
         if p is not None:
@@ -513,12 +504,10 @@ def is_negligible_region(region) -> bool:
     UnsupportedRegion for an analytic region."""
     if isinstance(region, Hyperplane):
         return True
-    if isinstance(region, Halfspace):
-        return False
-    if (pieces := _pieces(region)) is None:
+    if (form := exact_form(region)) is None:
         raise UnsupportedRegion(
             f"negligibility undecidable for {type(region).__name__}")
-    return all(empty or forced for empty, forced in map(_forced_hyperplanes, pieces))
+    return all(empty or forced for empty, forced in map(_forced_hyperplanes, form.polytopes))
 
 
 def _held_halfspace(region):
@@ -551,14 +540,14 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
         raise ValueError("generalized-binary-linear test expects an ordinary classifier")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    convex = all(isinstance(r, (Halfspace, HPolytope)) for r in C.labels.values())
+    convex = all(convex_form(r) is not None for r in C.labels.values())
     rng = None if convex else np.random.default_rng(seed)  # convex labels draw nothing
     probes = [] if convex else _feature_space_probes(C, probe_count, rng)
     seen = {name for _, name in probes}
 
     negligible, full = [], []
     for name, region in C.labels.items():
-        if isinstance(region, AnalyticRegion):
+        if exact_form(region) is None:
             if name not in seen:
                 return GeneralizedLinearVerdict(
                     False, reason=f"cannot decide negligibility of label {name!r}")
@@ -574,7 +563,7 @@ def is_generalized_binary_linear(C: Classifier, probe_count: int = 100,
         return GeneralizedLinearVerdict(False, reason=split.reason)
 
     for name in negligible:  # each piece is empty, or one hyperplane it is forced into is main
-        for empty, forced in map(_forced_hyperplanes, _pieces(C.labels[name])):
+        for empty, forced in map(_forced_hyperplanes, exact_form(C.labels[name]).polytopes):
             if not (empty or any(_agree(h.unit(), main.unit(), C.diameter, 1e-6)
                                  for h in forced)):
                 return GeneralizedLinearVerdict(

@@ -294,6 +294,29 @@ def test_refine_then_structure_pipeline(capsys, spec_path_factory, tmp_path):
     assert "hyperplane" in pairs
 
 
+@pytest.mark.parametrize("name, kind", [
+    ("fig1", "not_refined_linear"), ("fig3", "not_refined_linear"),
+    ("linear", "refined_linear"), ("refined_linear", "refined_linear"),
+    ("generalized_linear", "refined_linear"), ("trivial", "trivial")])
+def test_structure_on_a_spec_and_its_refinement(capsys, spec_path_factory, tmp_path,
+                                                name, kind):
+    # the spec's known kind with no sampled (lower_bound) coverage attached,
+    # on the spec and on the refinement that `refine --out` writes; refining
+    # that refinement again writes the same file. refined_linear lists M =
+    # {x2 > 0}, on the positive side of its hyperplane, first
+    refined, again = tmp_path / "refined.json", tmp_path / "again.json"
+    for spec, out in ((spec_path_factory(f"{name}.json"), refined), (str(refined), again)):
+        code, verdict, _ = run_cli(capsys, "structure", "--classifier", spec)
+        assert code == 0
+        lines = verdict.splitlines()
+        assert f"kind: {kind}" in lines and "lower_bound" not in verdict
+        if name == "refined_linear":
+            assert "labels: M,N" in lines
+        code, _, _ = run_cli(capsys, "refine", "--classifier", spec, "--out", str(out))
+        assert code == 0
+    assert again.read_bytes() == refined.read_bytes()
+
+
 def test_refine_takes_no_query_limits(capsys, spec_path_factory):
     spec = spec_path_factory("linear.json")
     for flag in ("--cap", "--budget", "--seed", "--tol"):

@@ -866,6 +866,42 @@ def test_isolation_is_read_once_per_union(monkeypatch):
 
 # --- anchor certification ---------------------------------------------------
 
+def test_a_halfspace_label_answers_as_its_one_row_polytope(monkeypatch):
+    # L = {x1 < -1} as a Halfspace and as a one-row HPolytope, beside a slab
+    h = Halfspace([1.0, 0.0], -1.0, False)
+    slab = HPolytope((Halfspace([-1.0, 0.0], 1.0), Halfspace([1.0, 0.0], 1.0)))
+    right = Halfspace([-1.0, 0.0], -1.0, False)
+    C1 = Classifier(dimension=2, labels={"L": h, "S": slab, "R": right})
+    C2 = Classifier(dimension=2, labels={"L": HPolytope((h,)), "S": slab, "R": right})
+    calls = []
+    exact = engine.coverage_exact_convex
+
+    def recorded(x, region, *args, **kwargs):
+        calls.append((region, kwargs.get("bracket")))
+        return exact(x, region, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "coverage_exact_convex", recorded)
+    kinds = []
+    for x, cap in (([-3.0, 0.5], 10.0), ([-1.5, 7.0], 0.25), ([-1.0 - 1e-15, 2.0], 10.0),
+                   ([-4e6, -3.0], 1e3)):
+        calls.clear()
+        r1 = coverage_at(C1, x, cap=cap, tol=1e-6)
+        # the Halfspace label passes its cached form, and the form's bracket
+        assert calls == [(geometry.exact_form(h), (0.0, float("inf"), None))]
+        r2 = coverage_at(C2, x, cap=cap, tol=1e-6)
+        kinds.append(r1.kind)
+        assert (r1.kind, r1.method, r1.radius) == (r2.kind, r2.method, r2.radius)
+        assert len(r1.witnesses) == len(r2.witnesses)
+        for a1, a2 in zip(r1.witnesses, r2.witnesses):
+            assert a1.ball.radius == a2.ball.radius
+            assert np.array_equal(a1.ball.center, a2.ball.center)
+            assert certify_anchor(C1, a1) == certify_anchor(C2, a2) == geometry.PROVEN
+    assert kinds == ["exceeds_cap", "exceeds_cap", "zero", "exceeds_cap"]
+    bad = Anchor(Ball([-1.5, 0.0], 1.0), [-1.5, 0.0], "L", geometry.PROVEN)
+    c1, c2 = certify_anchor(C1, bad), certify_anchor(C2, bad)
+    assert c1.kind == c2.kind == "refuted" and np.array_equal(c1.witness, c2.witness)
+
+
 def test_certify_anchor_exact_proven_and_refuted():
     C = Classifier(dimension=2, labels={
         "neg": Halfspace([0.0, 1.0], 0.0, False),

@@ -1,6 +1,7 @@
 """Unit tests for the geometric primitives."""
 
 import itertools
+import math
 import subprocess
 import sys
 import time
@@ -12,11 +13,11 @@ import pytest
 from coverage_lab import geometry
 from coverage_lab.errors import DimensionMismatch, EmptyPolytope, ExactUnsupported
 from coverage_lab.geometry import (Ball, Halfspace, HPolytope, Hyperplane,
-                                   as_polytope, ball_in_region,
-                                   halfspace_in_region, project_onto_polytope,
-                                   sample_in_ball, sampled_inside,
-                                   shrink_polytope)
-from coverage_lab.model import analytic
+                                   as_polytope, ball_in_region, convex_form,
+                                   exact_form, halfspace_in_region,
+                                   project_onto_polytope, sample_in_ball,
+                                   sampled_inside, shrink_polytope)
+from coverage_lab.model import UnionOfPolytopes, analytic
 
 
 def unit_box(n: int, closed: bool = True) -> HPolytope:
@@ -295,6 +296,41 @@ def test_as_polytope():
     assert not P.closed[0] and as_polytope(P) is P
     with pytest.raises(ExactUnsupported):
         as_polytope(Ball([0.0, 0.0], 1.0))
+
+
+def test_each_region_kind_reads_one_exact_form():
+    h = Halfspace([0.0, 2.0], 4.0, False)
+    P = unit_box(2)
+    U = UnionOfPolytopes((P, HPolytope((Halfspace([1.0, 0.0], -5.0),))))
+    form = exact_form(h)
+    assert isinstance(form, HPolytope) and form.halfspaces == (h,)
+    assert exact_form(P) is P and exact_form(U) is U
+    assert exact_form(analytic("x1 > 0", 2)) is None
+    assert P.polytopes == (P,) and form.polytopes == (form,)
+    assert convex_form(h) is form and convex_form(P) is P
+    assert convex_form(U) is None and convex_form(analytic("x1 > 0", 2)) is None
+    with pytest.raises(ExactUnsupported):
+        exact_form(Ball([0.0, 0.0], 1.0))
+
+
+def test_a_halfspace_builds_its_one_row_polytope_once():
+    h = Halfspace([3.0, 4.0], 10.0)
+    P = exact_form(h)
+    assert exact_form(h) is P and as_polytope(h) is P and convex_form(h) is P
+    # a one-row polytope proves no inscribed ball, with no solve
+    assert P.inradius_bracket == (0.0, math.inf, None)
+    assert exact_form(Halfspace([3.0, 4.0], 10.0)) is not P
+
+
+@pytest.mark.parametrize("n, k", [(2, 1e-14), (42, 1e-14), (43, 46 * 2.0**-52),
+                                  (60, 63 * 2.0**-52)])
+def test_the_margin_covers_every_dimension(n, k):
+    # (n + 3) eps bounds the rounding of a slack or a distance at n
+    # coordinates; it is below 1e-14 up to n = 42
+    x = np.full(n, 0.5)
+    r = 3.0
+    assert geometry._margin(x, r) == k * (1.0 + r + math.hypot(*x.tolist()))
+    assert geometry._margin(x, r) >= (n + 3) * 2.0**-52 * (r + np.linalg.norm(x))
 
 
 def test_halfspace_in_region_matches_brute_force():

@@ -16,7 +16,8 @@ from coverage_lab.errors import (AmbiguousLabel, DegenerateSequence, EvalError,
 from coverage_lab.geometry import (Ball, Halfspace, HPolytope, Hyperplane,
                                    ball_in_region)
 from coverage_lab.model import (REFINEMENT, Classifier, UnionOfPolytopes,
-                                analytic, label_of, labels_of, sample_box)
+                                analytic, label_of, labels_of, region_to_dict,
+                                sample_box, validate_partition)
 from coverage_lab.structure import (_bisect_boundaries, _feature_space_probes,
                                     classify_structure,
                                     estimate_asymptotic_direction,
@@ -69,6 +70,14 @@ def test_refine_of_a_refinement_is_the_same_object(name):
     assert refine_boundary(R) is R
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_refine_keeps_each_label_kind(name):
+    C = load_builtin(name)
+    R = refine_boundary(C)
+    assert {n: region_to_dict(r).keys() for n, r in R.labels.items()} \
+        == {n: region_to_dict(r).keys() for n, r in C.labels.items()}
+
+
 def test_refine_keeps_one_copy_of_each_boundary_piece():
     # neighbouring labels share their boundary pieces
     def pieces(C):
@@ -110,6 +119,39 @@ def test_refine_rejects_mixed_label_kinds():
         "a": Halfspace([0.0, 1.0], 0.0, False),
         "b": analytic("x2 >= 0", 2),
     })
+    with pytest.raises(UnsupportedRegion):
+        refine_boundary(C)
+
+
+def _square_hole(refinement):
+    # A holds x2 > 0 off the open unit square, which is the refinement set
+    return Classifier(dimension=2, labels={
+        "A": analytic("x2 > 0 and (x1 <= 0 or x1 >= 1 or x2 >= 1)", 2),
+        "B": analytic("x2 <= 0", 2)}, refinement_set=refinement,
+        domain_box=[[-2.0, -2.0], [2.0, 2.0]])
+
+
+def test_refine_keeps_an_analytic_refinement_set():
+    C = _square_hole(analytic("x1 > 0 and x1 < 1 and x2 > 0 and x2 < 1", 2))
+    assert validate_partition(C, 20_000, seed=0).verdict == "unfalsified"
+    R = refine_boundary(C)
+    assert label_of(R, [0.5, 0.5]) == REFINEMENT
+    assert label_of(R, [0.5, 0.0]) == label_of(R, [0.0, 0.5]) == REFINEMENT
+    assert label_of(R, [0.5, -0.5]) == "B" and label_of(R, [0.5, 1.5]) == "A"
+    report = validate_partition(R, 20_000, seed=0)
+    assert report.verdict == "unfalsified", report.violations[:3]
+    rng = np.random.default_rng(2)
+    for p in sample_box(C.domain_box, rng, 2000):
+        assert label_of(R, p) in (label_of(C, p), REFINEMENT)
+    assert refine_boundary(R) is R
+
+
+def test_refine_rejects_a_polytopal_refinement_set_on_analytic_labels():
+    square = HPolytope((Halfspace([-1.0, 0.0], 0.0, False), Halfspace([1.0, 0.0], 1.0, False),
+                        Halfspace([0.0, -1.0], 0.0, False), Halfspace([0.0, 1.0], 1.0, False)))
+    C = _square_hole(square)
+    assert validate_partition(C, 20_000, seed=0).verdict == "unfalsified"
+    assert label_of(C, [0.5, 0.5]) == REFINEMENT
     with pytest.raises(UnsupportedRegion):
         refine_boundary(C)
 
